@@ -1,6 +1,7 @@
 // Micro-benchmarks of the cost-model algorithms: Algorithm 1 scaling with
 // topology size (validating the O(|V| * |E|) claim of Proposition 3.4),
-// Algorithm 2, Algorithm 3, and the graph utilities they rest on.
+// Algorithm 2, Algorithm 3, the graph utilities they rest on, and the XML
+// import that feeds them.
 #include <benchmark/benchmark.h>
 
 #include "core/bottleneck.hpp"
@@ -8,6 +9,7 @@
 #include "core/paths.hpp"
 #include "core/steady_state.hpp"
 #include "gen/workload.hpp"
+#include "xmlio/topology_xml.hpp"
 
 namespace {
 
@@ -107,6 +109,38 @@ void BM_RandomTopologyGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomTopologyGeneration);
+
+/// A saved description: source -> two keyed operators over 100k Zipf(0.8)
+/// keys -> sink (`keyed`), or the first Alg. 5 testbed graph.
+std::string description(bool keyed) {
+  if (!keyed) return ss::xml::save_topology(ss::make_testbed(2018, 1).front());
+  const ss::KeyDistribution keys = ss::KeyDistribution::zipf(100000, 0.8);
+  ss::Topology::Builder b;
+  b.add_operator("source", 2e-5);
+  for (const char* name : {"running_sum", "counter"}) {
+    ss::OperatorSpec op;
+    op.name = name;
+    op.service_time = 2e-6;
+    op.state = ss::StateKind::kPartitionedStateful;
+    op.keys = keys;
+    b.add_operator(std::move(op));
+  }
+  b.add_operator("sink", 1e-6);
+  b.add_edge(0, 1).add_edge(1, 2).add_edge(2, 3);
+  return ss::xml::save_topology(b.build());
+}
+
+/// Topology import (paper §4.1): arg 1 is the keyed description, whose
+/// key lists make it megabytes of numbers; arg 0 a testbed graph.
+void BM_LoadTopology(benchmark::State& state) {
+  const std::string xml = description(state.range(0) == 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ss::xml::load_topology(xml));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(xml.size()));
+  state.SetLabel(state.range(0) == 1 ? "keyed, 2x100k keys" : "testbed graph 0");
+}
+BENCHMARK(BM_LoadTopology)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -22,4 +22,9 @@ inline void require(bool condition, const std::string& message) {
   if (!condition) throw Error(message);
 }
 
+/// Literal-message overload: a passing check builds no string.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw Error(message);
+}
+
 }  // namespace ss

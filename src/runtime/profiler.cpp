@@ -112,26 +112,32 @@ void ProfileEstimator::fold() {
     c.multi_slices.exchange(0, std::memory_order_relaxed);
 
     // Fold-interval service estimate: multi-item gaps are the trusted
-    // signal; singleton slices only fill in (quarter weight) when the
-    // interval had no backlog burst at all.
+    // signal and the only one that raises confidence; singleton slices
+    // only fill in (quarter weight) when the interval had no backlog burst
+    // at all.  When both occur, the mean spans every item metered in the
+    // interval: gaps alone are biased low wherever per-item time tracks
+    // the backlog — a timed wait that overruns in a singleton slice builds
+    // the very burst in which PacedWaiter repays the overrun.  The
+    // variance fit stays on the burst gaps.
     double est_ns = 0.0;
-    double est_sq = 0.0;
+    double var = 0.0;
     std::uint64_t weight = 0;
     if (m_items > 0) {
-      est_ns = static_cast<double>(m_ns) / static_cast<double>(m_items);
-      est_sq = m_sq / static_cast<double>(m_items);
+      const double gap_ns = static_cast<double>(m_ns) / static_cast<double>(m_items);
+      est_ns = static_cast<double>(m_ns + s_ns) /
+               static_cast<double>(m_items + s_slices);
+      var = m_sq / static_cast<double>(m_items) - gap_ns * gap_ns;
       weight = m_items;
     } else if (s_slices > 0) {
       est_ns = static_cast<double>(s_ns) / static_cast<double>(s_slices);
-      est_sq = s_sq / static_cast<double>(s_slices);
+      var = s_sq / static_cast<double>(s_slices) - est_ns * est_ns;
       weight = (s_slices + 3) / 4;
     }
     if (weight > 0 && est_ns > 0.0) {
       const double alpha =
           s.items == 0 ? 1.0 : std::clamp(config_.ewma_alpha, 0.0, 1.0);
       s.service_ns += alpha * (est_ns - s.service_ns);
-      const double var = std::max(0.0, est_sq - est_ns * est_ns);
-      s.var_ns2 += alpha * (var - s.var_ns2);
+      s.var_ns2 += alpha * (std::max(0.0, var) - s.var_ns2);
       s.items += m_items;  // singleton slices never raise confidence
     }
     const double half = static_cast<double>(config_.confidence_target) * 0.5;

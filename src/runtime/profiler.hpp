@@ -17,8 +17,11 @@
 //     even if the operator idles 90% of the wall clock — the backlog
 //     forced a short saturated burst.  These are the primary signal.
 //   * singleton slices (one item per metered slice) still sample the
-//     service path but carry slice-entry overhead; they contribute with
-//     reduced weight and never raise confidence on their own.
+//     service path but carry slice-entry overhead; they never raise
+//     confidence on their own.  Beside bursts they enter the interval's
+//     mean (a singleton that overran is what built the next burst, whose
+//     paced waits then repay the overrun); alone they fill in with
+//     reduced weight.
 //   * queue-occupancy sampling: the fold loop probes every operator's
 //     mailbox depth against its capacity; the fraction of probes that
 //     found the buffer full is the measured stall probability the latency

@@ -28,10 +28,10 @@ struct ServiceLaw {
   /// to a tiny positive floor so time always advances).
   [[nodiscard]] double sample(double mean, Rng& rng) const;
 
-  static ServiceLaw deterministic() { return {Kind::kDeterministic, 0.0}; }
-  static ServiceLaw exponential() { return {Kind::kExponential, 0.0}; }
-  static ServiceLaw normal(double cv = 0.25) { return {Kind::kNormal, cv}; }
-  static ServiceLaw lognormal(double cv = 0.25) { return {Kind::kLogNormal, cv}; }
+  static constexpr ServiceLaw deterministic() { return {Kind::kDeterministic, 0.0}; }
+  static constexpr ServiceLaw exponential() { return {Kind::kExponential, 0.0}; }
+  static constexpr ServiceLaw normal(double cv = 0.25) { return {Kind::kNormal, cv}; }
+  static constexpr ServiceLaw lognormal(double cv = 0.25) { return {Kind::kLogNormal, cv}; }
 };
 
 }  // namespace ss::sim

@@ -1,8 +1,13 @@
 #include "xmlio/topology_xml.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "core/error.hpp"
 #include "xmlio/xml.hpp"
@@ -27,14 +32,43 @@ double time_unit_factor(const std::string& unit) {
   throw Error("topology xml: unknown time-unit '" + unit + "' (expected s/ms/us/ns)");
 }
 
-KeyDistribution parse_keys(const XmlNode& keys) {
-  if (keys.has_attr("values")) {
-    std::istringstream in(keys.attr("values"));
-    std::vector<double> values;
-    double v = 0.0;
-    while (in >> v) values.push_back(v);
+/// Whitespace as stream extraction skips it in the "C" locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// A `<keys values>` list: whitespace-separated, complete, finite decimal
+/// numbers, each with an optional leading '+'.
+std::vector<double> parse_frequencies(std::string_view list, const std::string& op_name) {
+  std::vector<double> values;
+  const char* p = list.data();
+  const char* const end = p + list.size();
+  while (true) {
+    while (p != end && is_space(*p)) ++p;
+    if (p == end) return values;
+    const char* const token = p;
+    if (*p == '+' && end - p > 1 && p[1] != '-') ++p;
+    double value = 0.0;
+    auto [next, ec] = std::from_chars(p, end, value);
+    if (ec == std::errc::result_out_of_range) {
+      // Underflow reads as the nearest subnormal or zero, as strtod has it;
+      // overflow reads as infinite and is rejected below.
+      value = std::strtod(std::string(p, next).c_str(), nullptr);
+      ec = std::errc();
+    }
+    if (ec != std::errc() || (next != end && !is_space(*next)) || !std::isfinite(value)) {
+      throw Error("topology xml: <keys values=...> of operator '" + op_name +
+                  "' has a malformed frequency '" +
+                  std::string(token, std::find_if(token, end, is_space)) + "'");
+    }
+    values.push_back(value);
+    p = next;
+  }
+}
+
+KeyDistribution parse_keys(const XmlNode& keys, const std::string& op_name) {
+  if (const auto it = keys.attributes.find("values"); it != keys.attributes.end()) {
+    std::vector<double> values = parse_frequencies(it->second, op_name);
     require(!values.empty(), "topology xml: <keys values=...> must list frequencies");
-    return KeyDistribution(values);
+    return KeyDistribution(std::move(values));
   }
   const auto count = static_cast<std::size_t>(keys.attr_double("count"));
   const std::string distribution = keys.attr("distribution", "uniform");
@@ -61,7 +95,7 @@ Topology load_topology(const std::string& xml_text) {
     spec.selectivity.input = op_node->attr_double("input-selectivity", 1.0);
     spec.selectivity.output = op_node->attr_double("output-selectivity", 1.0);
     spec.impl = op_node->attr("impl", "");
-    if (const XmlNode* keys = op_node->child("keys")) spec.keys = parse_keys(*keys);
+    if (const XmlNode* keys = op_node->child("keys")) spec.keys = parse_keys(*keys, spec.name);
     const std::string name = spec.name;
     index_of[name] = builder.add_operator(std::move(spec));
   }

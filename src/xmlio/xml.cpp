@@ -1,6 +1,8 @@
 #include "xmlio/xml.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -19,7 +21,7 @@ class Parser {
     require(!at_end(), "xml: document has no root element");
     XmlNode root = parse_element();
     skip_misc();
-    require(at_end(), err("trailing content after the root element"));
+    expect(at_end(), "trailing content after the root element");
     return root;
   }
 
@@ -30,22 +32,33 @@ class Parser {
     return input_.substr(pos_, prefix.size()) == prefix;
   }
 
-  char advance() {
-    const char c = input_[pos_++];
-    if (c == '\n') ++line_;
-    return c;
+  /// Moves to the next occurrence of `token`, or to the end of the input;
+  /// true when found.
+  bool seek(std::string_view token) {
+    pos_ = std::min(input_.find(token, pos_), input_.size());
+    return !at_end();
   }
 
-  void skip(std::size_t n) {
-    for (std::size_t i = 0; i < n && !at_end(); ++i) advance();
+  /// Throws `message` located at the line of offset `at`.  Lines are
+  /// counted here, on the failure path only.
+  [[noreturn]] void fail(std::string_view message, std::size_t at) const {
+    const auto line = 1 + std::count(input_.begin(), input_.begin() + at, '\n');
+    throw Error("xml (line " + std::to_string(line) + "): " + std::string(message));
   }
+  [[noreturn]] void fail(std::string_view message) const { fail(message, pos_); }
 
-  [[nodiscard]] std::string err(const std::string& message) const {
-    return "xml (line " + std::to_string(line_) + "): " + message;
+  void expect(bool condition, const char* message) const {
+    if (!condition) fail(message);
   }
 
   void skip_whitespace() {
-    while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) advance();
+    while (!at_end() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;
+  }
+
+  void skip_comment() {
+    pos_ += 4;  // "<!--"
+    expect(seek("-->"), "unterminated comment");
+    pos_ += 3;
   }
 
   /// Whitespace, comments and processing instructions / declarations.
@@ -53,18 +66,13 @@ class Parser {
     while (true) {
       skip_whitespace();
       if (starts_with("<!--")) {
-        skip(4);
-        while (!at_end() && !starts_with("-->")) advance();
-        require(!at_end(), err("unterminated comment"));
-        skip(3);
+        skip_comment();
       } else if (starts_with("<?")) {
-        while (!at_end() && !starts_with("?>")) advance();
-        require(!at_end(), err("unterminated processing instruction"));
-        skip(2);
+        expect(seek("?>"), "unterminated processing instruction");
+        pos_ += 2;
       } else if (starts_with("<!DOCTYPE")) {
-        while (!at_end() && peek() != '>') advance();
-        require(!at_end(), err("unterminated DOCTYPE"));
-        advance();
+        expect(seek(">"), "unterminated DOCTYPE");
+        ++pos_;
       } else {
         return;
       }
@@ -76,14 +84,17 @@ class Parser {
            c == ':';
   }
 
-  std::string parse_name() {
-    std::string name;
-    while (!at_end() && is_name_char(peek())) name.push_back(advance());
-    require(!name.empty(), err("expected a name"));
-    return name;
+  std::string_view parse_name() {
+    const std::size_t start = pos_;
+    while (!at_end() && is_name_char(peek())) ++pos_;
+    expect(pos_ > start, "expected a name");
+    return input_.substr(start, pos_ - start);
   }
 
-  std::string decode_entities(const std::string& raw) {
+  /// `raw` with entity and character references replaced; copied as is
+  /// when it holds no '&'.
+  std::string decode_entities(std::string_view raw) const {
+    if (raw.find('&') == std::string_view::npos) return std::string(raw);
     std::string out;
     out.reserve(raw.size());
     for (std::size_t i = 0; i < raw.size(); ++i) {
@@ -92,8 +103,8 @@ class Parser {
         continue;
       }
       const auto semi = raw.find(';', i);
-      require(semi != std::string::npos, err("unterminated entity"));
-      const std::string entity = raw.substr(i + 1, semi - i - 1);
+      expect(semi != std::string_view::npos, "unterminated entity");
+      const std::string entity(raw.substr(i + 1, semi - i - 1));
       if (entity == "amp") {
         out.push_back('&');
       } else if (entity == "lt") {
@@ -106,10 +117,10 @@ class Parser {
         out.push_back('\'');
       } else if (!entity.empty() && entity[0] == '#') {
         const long code = std::strtol(entity.c_str() + 1, nullptr, entity[1] == 'x' ? 16 : 10);
-        require(code > 0 && code < 128, err("unsupported character reference &" + entity + ";"));
+        if (code <= 0 || code >= 128) fail("unsupported character reference &" + entity + ";");
         out.push_back(static_cast<char>(code));
       } else {
-        throw Error(err("unknown entity &" + entity + ";"));
+        fail("unknown entity &" + entity + ";");
       }
       i = semi;
     }
@@ -117,63 +128,67 @@ class Parser {
   }
 
   std::string parse_attr_value() {
-    require(!at_end() && (peek() == '"' || peek() == '\''), err("expected a quoted value"));
-    const char quote = advance();
-    std::string raw;
-    while (!at_end() && peek() != quote) raw.push_back(advance());
-    require(!at_end(), err("unterminated attribute value"));
-    advance();  // closing quote
+    expect(!at_end() && (peek() == '"' || peek() == '\''), "expected a quoted value");
+    const char quote = peek();
+    const std::size_t start = ++pos_;
+    expect(seek(std::string_view(&quote, 1)), "unterminated attribute value");
+    const std::string_view raw = input_.substr(start, pos_ - start);
+    ++pos_;  // closing quote
     return decode_entities(raw);
   }
 
   XmlNode parse_element() {
-    require(peek() == '<', err("expected '<'"));
-    advance();
+    expect(peek() == '<', "expected '<'");
+    ++pos_;
     XmlNode node;
     node.name = parse_name();
 
     // Attributes.
     while (true) {
       skip_whitespace();
-      require(!at_end(), err("unterminated start tag <" + node.name));
+      if (at_end()) fail("unterminated start tag <" + node.name);
       if (peek() == '>' || starts_with("/>")) break;
-      const std::string key = parse_name();
+      std::string key(parse_name());
       skip_whitespace();
-      require(!at_end() && peek() == '=', err("expected '=' after attribute '" + key + "'"));
-      advance();
+      if (at_end() || peek() != '=') fail("expected '=' after attribute '" + key + "'");
+      ++pos_;
       skip_whitespace();
-      require(node.attributes.emplace(key, parse_attr_value()).second,
-              err("duplicate attribute '" + key + "'"));
+      // A duplicate is reported at the line where its value starts.
+      const std::size_t value_at = pos_;
+      if (const auto [it, added] = node.attributes.emplace(std::move(key), parse_attr_value());
+          !added) {
+        fail("duplicate attribute '" + it->first + "'", value_at);
+      }
     }
     if (starts_with("/>")) {
-      skip(2);
+      pos_ += 2;
       return node;
     }
-    advance();  // '>'
+    ++pos_;  // '>'
 
     // Content.
     std::string text;
     while (true) {
-      require(!at_end(), err("unterminated element <" + node.name + ">"));
+      if (at_end()) fail("unterminated element <" + node.name + ">");
       if (starts_with("</")) {
-        skip(2);
-        const std::string closing = parse_name();
-        require(closing == node.name,
-                err("mismatched closing tag </" + closing + "> for <" + node.name + ">"));
+        pos_ += 2;
+        const std::string_view closing = parse_name();
+        if (closing != node.name) {
+          fail("mismatched closing tag </" + std::string(closing) + "> for <" + node.name + ">");
+        }
         skip_whitespace();
-        require(!at_end() && peek() == '>', err("malformed closing tag"));
-        advance();
+        expect(!at_end() && peek() == '>', "malformed closing tag");
+        ++pos_;
         break;
       }
       if (starts_with("<!--")) {
-        skip(4);
-        while (!at_end() && !starts_with("-->")) advance();
-        require(!at_end(), err("unterminated comment"));
-        skip(3);
+        skip_comment();
       } else if (peek() == '<') {
         node.children.push_back(parse_element());
       } else {
-        text.push_back(advance());
+        const std::size_t start = pos_;
+        seek("<");
+        text.append(input_.substr(start, pos_ - start));
       }
     }
 
@@ -181,14 +196,13 @@ class Parser {
     const auto first = text.find_first_not_of(" \t\r\n");
     if (first != std::string::npos) {
       const auto last = text.find_last_not_of(" \t\r\n");
-      node.text = decode_entities(text.substr(first, last - first + 1));
+      node.text = decode_entities(std::string_view(text).substr(first, last - first + 1));
     }
     return node;
   }
 
   std::string_view input_;
   std::size_t pos_ = 0;
-  int line_ = 1;
 };
 
 void write_node(const XmlNode& node, std::ostringstream& out, int depth) {
@@ -236,11 +250,16 @@ std::string XmlNode::attr(const std::string& key, const std::string& fallback) c
 }
 
 double XmlNode::attr_double(const std::string& key) const {
-  const std::string value = require_attr(key);
+  const std::string& value = require_attr(key);
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
-  require(end != value.c_str() && *end == '\0',
-          "xml: attribute '" + key + "' of <" + name + "> is not a number: '" + value + "'");
+  if (end == value.c_str() || *end != '\0') {
+    throw Error("xml: attribute '" + key + "' of <" + name + "> is not a number: '" + value + "'");
+  }
+  if (!std::isfinite(parsed)) {
+    throw Error("xml: attribute '" + key + "' of <" + name + "> is not a finite number: '" +
+                value + "'");
+  }
   return parsed;
 }
 
@@ -248,9 +267,9 @@ double XmlNode::attr_double(const std::string& key, double fallback) const {
   return has_attr(key) ? attr_double(key) : fallback;
 }
 
-std::string XmlNode::require_attr(const std::string& key) const {
+const std::string& XmlNode::require_attr(const std::string& key) const {
   auto it = attributes.find(key);
-  require(it != attributes.end(), "xml: <" + name + "> requires attribute '" + key + "'");
+  if (it == attributes.end()) throw Error("xml: <" + name + "> requires attribute '" + key + "'");
   return it->second;
 }
 

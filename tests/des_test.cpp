@@ -96,13 +96,16 @@ TEST_P(DesLawTest, ThroughputMatchesModelUnderEveryLaw) {
   EXPECT_NEAR(sim.throughput, predicted, 0.05 * predicted) << GetParam().name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Laws, DesLawTest,
-    ::testing::Values(LawCase{ServiceLaw::deterministic(), "deterministic"},
-                      LawCase{ServiceLaw::exponential(), "exponential"},
-                      LawCase{ServiceLaw::normal(0.25), "normal"},
-                      LawCase{ServiceLaw::lognormal(0.5), "lognormal"}),
-    [](const auto& info) { return info.param.name; });
+// Constant-initialized in static storage, so the padding inside ServiceLaw
+// is zero: gtest prints a parameter's raw bytes into the listed test name,
+// and stack temporaries would leak garbage bytes that vary between builds.
+constexpr LawCase kLawCases[] = {{ServiceLaw::deterministic(), "deterministic"},
+                                 {ServiceLaw::exponential(), "exponential"},
+                                 {ServiceLaw::normal(0.25), "normal"},
+                                 {ServiceLaw::lognormal(0.5), "lognormal"}};
+
+INSTANTIATE_TEST_SUITE_P(Laws, DesLawTest, ::testing::ValuesIn(kLawCases),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(Des, ProbabilisticFanOutSplitsFlow) {
   Topology::Builder b;

@@ -21,13 +21,21 @@ namespace {
 
 // ------------------------------------------------------------- XML fuzzing
 
+// The seed exercises every scanning path of the parser: declaration,
+// multi-line comment, generated and explicit key lists.
 constexpr const char* kSeedXml = R"(<?xml version="1.0"?>
+<!-- fuzz seed:
+     a generated law and an explicit key list -->
 <topology name="t">
   <operator name="src" impl="source" service-time="1" time-unit="ms"/>
   <operator name="agg" service-time="2" state="partitioned" input-selectivity="10">
     <keys distribution="zipf" count="10" alpha="1.5"/>
   </operator>
+  <operator name="cnt" service-time="0.5" state="partitioned">
+    <keys values="0.4 0.25 0.15 0.1 0.05 0.03 0.02"/>
+  </operator>
   <edge from="src" to="agg" probability="1.0"/>
+  <edge from="agg" to="cnt"/>
 </topology>
 )";
 

@@ -1,8 +1,18 @@
 // Tests of the XML layer: the mini-DOM parser (well-formedness, entities,
-// comments, error reporting) and the topology description round trip.
+// comments, error reporting with line numbers) and the topology description
+// format (number parsing, rejection of malformed key lists and non-finite
+// attributes, a bit-exact save/load differential on the Alg. 5 testbed).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <sstream>
+#include <utility>
+#include <vector>
+
 #include "core/error.hpp"
+#include "gen/workload.hpp"
 #include "xmlio/topology_xml.hpp"
 #include "xmlio/xml.hpp"
 
@@ -64,6 +74,55 @@ TEST(XmlParser, ErrorsCarryLineNumbers) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
   }
+}
+
+/// The message parse_xml throws for `doc`, or "" when it parses.
+std::string parse_error(const std::string& doc) {
+  try {
+    (void)parse_xml(doc);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(XmlParser, LineNumbersAfterMultiLineAttributeValues) {
+  // A duplicate attribute is reported at the line where its value starts.
+  EXPECT_EQ(parse_error("<a x=\"1\ny\nz\" x=\"2\"/>"), "xml (line 3): duplicate attribute 'x'");
+  EXPECT_EQ(parse_error("<a x=\"1\" x=\"\n\n2\"/>"), "xml (line 1): duplicate attribute 'x'");
+  EXPECT_EQ(parse_error("<a>\n<b\nx='1'\n\nx\n=\n'\n2\n'/></a>"),
+            "xml (line 7): duplicate attribute 'x'");
+  // Entities are decoded, and reported, after the closing quote.
+  EXPECT_EQ(parse_error("<a x=\"line1\nline2\nline3\" y=\"&bad;\"/>"),
+            "xml (line 3): unknown entity &bad;");
+  EXPECT_EQ(parse_error("<a x=\"1\" x=\"\n\n&bad;\"/>"), "xml (line 3): unknown entity &bad;");
+  EXPECT_EQ(parse_error("<a\n x\n=\n'1'\n y 2/>"), "xml (line 5): expected '=' after attribute 'y'");
+  EXPECT_EQ(parse_error("<a x=\"unterminated\n\n"), "xml (line 3): unterminated attribute value");
+}
+
+TEST(XmlParser, LineNumbersAfterComments) {
+  EXPECT_EQ(parse_error("<a>\n<!-- multi\nline\ncomment -->\n<b>\n</c></a>"),
+            "xml (line 6): mismatched closing tag </c> for <b>");
+  EXPECT_EQ(parse_error("<!-- top\ncomment\n-->\n<a>\n</b>"),
+            "xml (line 5): mismatched closing tag </b> for <a>");
+  EXPECT_EQ(parse_error("<a>\n<!-- unterminated\n\n"), "xml (line 4): unterminated comment");
+  EXPECT_EQ(parse_error("<?xml version=\"1.0\"\n\n"),
+            "xml (line 3): unterminated processing instruction");
+  EXPECT_EQ(parse_error("<!DOCTYPE x\n\n"), "xml (line 3): unterminated DOCTYPE");
+}
+
+TEST(XmlParser, LineNumbersAfterText) {
+  EXPECT_EQ(parse_error("<a>\ntext\nmore text\n</b>"),
+            "xml (line 4): mismatched closing tag </b> for <a>");
+  // Character data is decoded once the element closes: the error names the
+  // line of the closing tag.
+  EXPECT_EQ(parse_error("<a>\ntext\n&bogus;\nmore\n</a>\n"), "xml (line 5): unknown entity &bogus;");
+  EXPECT_EQ(parse_error("<a>t1<!--\n\n-->&bog<!--x-->us;\n</a>"),
+            "xml (line 4): unknown entity &bogus;");
+  EXPECT_EQ(parse_error("<a>\n\ntext"), "xml (line 3): unterminated element <a>");
+  EXPECT_EQ(parse_error("<a>\n</a>\n\n<b/>"), "xml (line 4): trailing content after the root element");
+  EXPECT_EQ(parse_error("<a>\n</a\n x>"), "xml (line 3): malformed closing tag");
+  EXPECT_EQ(parse_error("\n\n  x"), "xml (line 3): expected '<'");
 }
 
 TEST(XmlParser, NodeLookupHelpers) {
@@ -143,6 +202,154 @@ TEST(TopologyXml, RejectsBadDescriptions) {
   <edge from="a" to="b" probability="0.5"/>
 </topology>)"),
                Error);  // probabilities do not sum to 1
+}
+
+/// A two-operator description whose partitioned operator "agg" carries
+/// `keys` as its <keys> element.
+std::string with_keys(const std::string& keys) {
+  return "<topology><operator name=\"src\" service-time=\"1\"/>"
+         "<operator name=\"agg\" service-time=\"1\" state=\"partitioned\">" +
+         keys + "</operator><edge from=\"src\" to=\"agg\"/></topology>";
+}
+
+/// The message load_topology throws for `doc`, or "" when it loads.
+std::string load_error(const std::string& doc) {
+  try {
+    (void)load_topology(doc);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TopologyXml, KeyListsAcceptDecimalSyntax) {
+  const Topology t = load_topology(with_keys("<keys values=\" \n+0.5\t.3\r\n2e-1 1E0 0 5. \"/>"));
+  ASSERT_EQ(t.op(1).keys.num_keys(), 6u);
+  EXPECT_DOUBLE_EQ(t.op(1).keys.probability(3), 1.0 / 7.0);
+  EXPECT_EQ(t.op(1).keys.probability(4), 0.0);
+  // Underflow reads as zero, as strtod has it.
+  const Topology tiny = load_topology(with_keys("<keys values=\"1 1e-400\"/>"));
+  ASSERT_EQ(tiny.op(1).keys.num_keys(), 2u);
+  EXPECT_EQ(tiny.op(1).keys.probability(1), 0.0);
+}
+
+TEST(TopologyXml, RejectsMalformedKeyLists) {
+  // A bad token used to end the list silently: "0.5 abc 0.2" loaded as one key.
+  for (const char* token : {"abc", "inf", "nan", "1e400", "0x10", "0.5,0.5", "1.5e", "1.5.3", "+-1",
+                            "+", "-"}) {
+    const std::string message =
+        load_error(with_keys(std::string("<keys values=\"0.5 ") + token + " 0.2\"/>"));
+    EXPECT_EQ(message, std::string("topology xml: <keys values=...> of operator 'agg' has a "
+                                   "malformed frequency '") +
+                           token + "'")
+        << token;
+  }
+  EXPECT_EQ(load_error(with_keys("<keys values=\" \n \"/>")),
+            "topology xml: <keys values=...> must list frequencies");
+  EXPECT_EQ(load_error(with_keys("<keys values=\"0.5 -0.5\"/>")),
+            "KeyDistribution: negative frequency");
+}
+
+TEST(TopologyXml, RejectsNonFiniteAttributes) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"<topology><operator name=\"a\" service-time=\"inf\"/></topology>", "service-time"},
+      {"<topology><operator name=\"a\" service-time=\"nan\"/></topology>", "service-time"},
+      {"<topology><operator name=\"a\" service-time=\"1e999\"/></topology>", "service-time"},
+      {"<topology><operator name=\"a\" service-time=\"1\" input-selectivity=\"inf\"/>"
+       "</topology>",
+       "input-selectivity"},
+      {"<topology><operator name=\"a\" service-time=\"1\" output-selectivity=\"-nan\"/>"
+       "</topology>",
+       "output-selectivity"},
+      {"<topology><operator name=\"a\" service-time=\"1\"/>"
+       "<operator name=\"b\" service-time=\"1\"/>"
+       "<edge from=\"a\" to=\"b\" probability=\"infinity\"/></topology>",
+       "probability"},
+      {with_keys("<keys distribution=\"uniform\" count=\"nan\"/>"), "count"},
+      {with_keys("<keys distribution=\"zipf\" count=\"10\" alpha=\"inf\"/>"), "alpha"},
+  };
+  for (const auto& [doc, attribute] : cases) {
+    const std::string message = load_error(doc);
+    EXPECT_NE(message.find("attribute '" + attribute + "'"), std::string::npos) << message;
+    EXPECT_NE(message.find("is not a finite number"), std::string::npos) << message;
+  }
+}
+
+/// `value` through the 17-digit text save_topology writes and back through
+/// std::strtod.
+double through_text(double value) {
+  std::ostringstream out;
+  out.precision(17);
+  out << value;
+  return std::strtod(out.str().c_str(), nullptr);
+}
+
+/// What load_topology(save_topology(t)) must return, built without the
+/// parser: numbers as strtod reads their saved text, service times scaled
+/// from ms, key lists re-normalized by KeyDistribution.
+Topology reference_reload(const Topology& t) {
+  Topology::Builder builder;
+  for (const OperatorSpec& op : t.operators()) {
+    OperatorSpec spec = op;
+    spec.service_time = through_text(op.service_time * 1e3) * 1e-3;
+    spec.selectivity.input = through_text(op.selectivity.input);
+    spec.selectivity.output = through_text(op.selectivity.output);
+    if (!op.keys.empty()) {
+      std::vector<double> frequencies;
+      for (double p : op.keys.probabilities()) frequencies.push_back(through_text(p));
+      spec.keys = KeyDistribution(std::move(frequencies));
+    }
+    builder.add_operator(std::move(spec));
+  }
+  for (const Edge& e : t.edges()) builder.add_edge(e.from, e.to, through_text(e.probability));
+  return builder.build();
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_bit_identical(const Topology& loaded, const Topology& expected) {
+  ASSERT_EQ(loaded.num_operators(), expected.num_operators());
+  for (OpIndex i = 0; i < expected.num_operators(); ++i) {
+    const OperatorSpec& a = loaded.op(i);
+    const OperatorSpec& b = expected.op(i);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.impl, b.impl);
+    EXPECT_EQ(a.state, b.state);
+    EXPECT_EQ(bits(a.service_time), bits(b.service_time)) << a.name;
+    EXPECT_EQ(bits(a.selectivity.input), bits(b.selectivity.input)) << a.name;
+    EXPECT_EQ(bits(a.selectivity.output), bits(b.selectivity.output)) << a.name;
+    ASSERT_EQ(a.keys.num_keys(), b.keys.num_keys()) << a.name;
+    std::size_t differing = 0;
+    for (std::size_t k = 0; k < b.keys.num_keys(); ++k) {
+      differing += bits(a.keys.probability(k)) != bits(b.keys.probability(k));
+    }
+    EXPECT_EQ(differing, 0u) << a.name;
+  }
+  ASSERT_EQ(loaded.num_edges(), expected.num_edges());
+  for (std::size_t e = 0; e < expected.num_edges(); ++e) {
+    EXPECT_EQ(loaded.edges()[e].from, expected.edges()[e].from);
+    EXPECT_EQ(loaded.edges()[e].to, expected.edges()[e].to);
+    EXPECT_EQ(bits(loaded.edges()[e].probability), bits(expected.edges()[e].probability));
+  }
+}
+
+TEST(TopologyXml, SaveLoadMatchesStrtodReferenceBitForBit) {
+  std::vector<Topology> topologies = make_testbed(2018);
+  Topology::Builder keyed;
+  keyed.add_operator("source", 2e-5);
+  OperatorSpec agg;
+  agg.name = "agg";
+  agg.service_time = 2e-6;
+  agg.state = StateKind::kPartitionedStateful;
+  agg.keys = KeyDistribution::zipf(100000, 0.8);
+  keyed.add_operator(std::move(agg));
+  keyed.add_edge(0, 1);
+  topologies.push_back(keyed.build());
+  for (std::size_t i = 0; i < topologies.size(); ++i) {
+    SCOPED_TRACE("topology " + std::to_string(i));
+    expect_bit_identical(load_topology(save_topology(topologies[i])),
+                         reference_reload(topologies[i]));
+  }
 }
 
 TEST(TopologyXml, SaveLoadRoundTrip) {
