@@ -110,11 +110,13 @@ void BM_RandomTopologyGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomTopologyGeneration);
 
-/// A saved description: source -> two keyed operators over 100k Zipf(0.8)
-/// keys -> sink (`keyed`), or the first Alg. 5 testbed graph.
-std::string description(bool keyed) {
-  if (!keyed) return ss::xml::save_topology(ss::make_testbed(2018, 1).front());
-  const ss::KeyDistribution keys = ss::KeyDistribution::zipf(100000, 0.8);
+/// A saved description: arg 0 the first Alg. 5 testbed graph; args 1 and 2
+/// source -> two keyed operators over 100k Zipf(0.8) keys -> sink, with the
+/// keys as the Zipf law (1) or as two explicit 100k-value lists (2).
+std::string description(std::int64_t arg) {
+  if (arg == 0) return ss::xml::save_topology(ss::make_testbed(2018, 1).front());
+  ss::KeyDistribution keys = ss::KeyDistribution::zipf(100000, 0.8);
+  if (arg == 2) keys = ss::KeyDistribution(keys.probabilities());
   ss::Topology::Builder b;
   b.add_operator("source", 2e-5);
   for (const char* name : {"running_sum", "counter"}) {
@@ -130,17 +132,20 @@ std::string description(bool keyed) {
   return ss::xml::save_topology(b.build());
 }
 
-/// Topology import (paper §4.1): arg 1 is the keyed description, whose
-/// key lists make it megabytes of numbers; arg 0 a testbed graph.
+/// Topology import (paper §4.1): arg 0 a testbed graph, arg 1 the keyed
+/// description whose one Zipf law is built once, arg 2 the same keys as
+/// explicit lists, megabytes of numbers.
 void BM_LoadTopology(benchmark::State& state) {
-  const std::string xml = description(state.range(0) == 1);
+  const std::string xml = description(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ss::xml::load_topology(xml));
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(xml.size()));
-  state.SetLabel(state.range(0) == 1 ? "keyed, 2x100k keys" : "testbed graph 0");
+  const char* labels[] = {"testbed graph 0", "keyed, 2x100k keys as a Zipf law",
+                          "keyed, 2x100k keys as explicit lists"};
+  state.SetLabel(labels[state.range(0)]);
 }
-BENCHMARK(BM_LoadTopology)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LoadTopology)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

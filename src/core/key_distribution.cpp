@@ -2,27 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "core/error.hpp"
 
 namespace ss {
 
 KeyDistribution::KeyDistribution(std::vector<double> frequencies)
-    : probabilities_(std::move(frequencies)) {
-  require(!probabilities_.empty(), "KeyDistribution: empty frequency vector");
+    : KeyDistribution(std::move(frequencies), Shape::kExplicit, 0.0) {}
+
+KeyDistribution::KeyDistribution(std::vector<double> frequencies, Shape shape, double alpha)
+    : shape_(shape), alpha_(alpha) {
+  require(!frequencies.empty(), "KeyDistribution: empty frequency vector");
   double total = 0.0;
-  for (double f : probabilities_) {
+  for (double f : frequencies) {
     require(f >= 0.0, "KeyDistribution: negative frequency");
     total += f;
   }
   require(total > 0.0, "KeyDistribution: frequencies sum to zero");
-  for (double& f : probabilities_) f /= total;
+  for (double& f : frequencies) f /= total;
+  probabilities_ = std::make_shared<const std::vector<double>>(std::move(frequencies));
 }
 
 KeyDistribution KeyDistribution::uniform(std::size_t num_keys) {
   require(num_keys > 0, "KeyDistribution::uniform: num_keys must be > 0");
-  return KeyDistribution(std::vector<double>(num_keys, 1.0));
+  return {std::vector<double>(num_keys, 1.0), Shape::kUniform, 0.0};
 }
 
 KeyDistribution KeyDistribution::zipf(std::size_t num_keys, double alpha) {
@@ -32,12 +35,13 @@ KeyDistribution KeyDistribution::zipf(std::size_t num_keys, double alpha) {
   for (std::size_t k = 0; k < num_keys; ++k) {
     freq[k] = 1.0 / std::pow(static_cast<double>(k + 1), alpha);
   }
-  return KeyDistribution(std::move(freq));
+  return {std::move(freq), Shape::kZipf, alpha};
 }
 
 double KeyDistribution::max_probability() const {
-  if (probabilities_.empty()) return 0.0;
-  return *std::max_element(probabilities_.begin(), probabilities_.end());
+  const std::vector<double>& p = probabilities();
+  if (p.empty()) return 0.0;
+  return *std::max_element(p.begin(), p.end());
 }
 
 }  // namespace ss

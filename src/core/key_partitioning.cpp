@@ -15,22 +15,26 @@ KeyPartition partition_keys(const KeyDistribution& keys, int requested_replicas)
   const int bins = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(requested_replicas), num_keys));
 
-  // Greedy LPT: heaviest key first onto the least-loaded bin.
+  // Greedy LPT: heaviest key first onto the least-loaded bin.  Keys already
+  // in that order (every Zipf and uniform law) skip the sort: with the
+  // index tie-break the order is total, so the result is the same.
+  const std::vector<double>& p = keys.probabilities();
+  const auto heavier = [&](std::size_t a, std::size_t b) {
+    if (p[a] != p[b]) return p[a] > p[b];
+    return a < b;  // deterministic tie-break
+  };
   std::vector<std::size_t> by_weight(num_keys);
   std::iota(by_weight.begin(), by_weight.end(), 0);
-  std::sort(by_weight.begin(), by_weight.end(), [&](std::size_t a, std::size_t b) {
-    double pa = keys.probability(a);
-    double pb = keys.probability(b);
-    if (pa != pb) return pa > pb;
-    return a < b;  // deterministic tie-break
-  });
+  if (!std::is_sorted(by_weight.begin(), by_weight.end(), heavier)) {
+    std::sort(by_weight.begin(), by_weight.end(), heavier);
+  }
 
   std::vector<double> load(static_cast<std::size_t>(bins), 0.0);
   KeyPartition result;
   result.replica_of_key.assign(num_keys, 0);
   for (std::size_t k : by_weight) {
     auto lightest = std::min_element(load.begin(), load.end());
-    *lightest += keys.probability(k);
+    *lightest += p[k];
     result.replica_of_key[k] = static_cast<int>(lightest - load.begin());
   }
 

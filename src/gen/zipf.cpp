@@ -1,23 +1,13 @@
 #include "gen/zipf.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "core/error.hpp"
+#include "core/key_distribution.hpp"
 
 namespace ss {
 
 std::vector<double> zipf_probabilities(std::size_t n, double alpha) {
-  require(n > 0, "zipf_probabilities: n must be > 0");
-  require(alpha > 0.0, "zipf_probabilities: alpha must be > 0");
-  std::vector<double> p(n);
-  double total = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    p[k] = 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-    total += p[k];
-  }
-  for (double& v : p) v /= total;
-  return p;
+  return KeyDistribution::zipf(n, alpha).probabilities();
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double alpha)

@@ -12,7 +12,8 @@
 
 namespace ss {
 
-/// Normalized Zipf probability vector over `n` ranks: p(k) ~ 1/(k+1)^alpha.
+/// Normalized Zipf probability vector over `n` ranks: p(k) ~ 1/(k+1)^alpha;
+/// the table of KeyDistribution::zipf(n, alpha).
 std::vector<double> zipf_probabilities(std::size_t n, double alpha);
 
 /// Draws one rank in [0, n) from a Zipf law (inverse-CDF on the normalized

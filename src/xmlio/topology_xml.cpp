@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <string_view>
+#include <tuple>
 
 #include "core/error.hpp"
 #include "xmlio/xml.hpp"
@@ -64,17 +65,38 @@ std::vector<double> parse_frequencies(std::string_view list, const std::string& 
   }
 }
 
-KeyDistribution parse_keys(const XmlNode& keys, const std::string& op_name) {
+/// Largest key space a `<keys count>` may declare: 10^8 keys are an 800 MB
+/// table.
+constexpr std::size_t kMaxKeyCount = 100'000'000;
+
+/// A generated law, (distribution, count, alpha), and the table built for it:
+/// operators of one document that declare the same law share one table.
+using LawTables = std::map<std::tuple<std::string, std::size_t, double>, KeyDistribution>;
+
+KeyDistribution parse_keys(const XmlNode& keys, const std::string& op_name, LawTables& tables) {
   if (const auto it = keys.attributes.find("values"); it != keys.attributes.end()) {
     std::vector<double> values = parse_frequencies(it->second, op_name);
     require(!values.empty(), "topology xml: <keys values=...> must list frequencies");
     return KeyDistribution(std::move(values));
   }
-  const auto count = static_cast<std::size_t>(keys.attr_double("count"));
+  const double count = keys.attr_double("count");
+  if (!(count >= 1.0 && count <= static_cast<double>(kMaxKeyCount) &&
+        count == std::floor(count))) {
+    throw Error("topology xml: <keys count=...> of operator '" + op_name +
+                "' must be a positive integer (at most " + std::to_string(kMaxKeyCount) + ")");
+  }
   const std::string distribution = keys.attr("distribution", "uniform");
-  if (distribution == "uniform") return KeyDistribution::uniform(count);
-  if (distribution == "zipf") return KeyDistribution::zipf(count, keys.attr_double("alpha", 1.5));
-  throw Error("topology xml: unknown key distribution '" + distribution + "'");
+  const bool zipf = distribution == "zipf";
+  if (!zipf && distribution != "uniform") {
+    throw Error("topology xml: unknown key distribution '" + distribution + "'");
+  }
+  const auto n = static_cast<std::size_t>(count);
+  const double alpha = zipf ? keys.attr_double("alpha", 1.5) : 0.0;
+  auto law = std::make_tuple(distribution, n, alpha);
+  if (const auto it = tables.find(law); it != tables.end()) return it->second;
+  KeyDistribution built = zipf ? KeyDistribution::zipf(n, alpha) : KeyDistribution::uniform(n);
+  tables.emplace(std::move(law), built);
+  return built;
 }
 
 }  // namespace
@@ -86,6 +108,7 @@ Topology load_topology(const std::string& xml_text) {
 
   Topology::Builder builder;
   std::map<std::string, OpIndex> index_of;
+  LawTables key_tables;
   for (const XmlNode* op_node : root.children_named("operator")) {
     OperatorSpec spec;
     spec.name = op_node->require_attr("name");
@@ -95,7 +118,9 @@ Topology load_topology(const std::string& xml_text) {
     spec.selectivity.input = op_node->attr_double("input-selectivity", 1.0);
     spec.selectivity.output = op_node->attr_double("output-selectivity", 1.0);
     spec.impl = op_node->attr("impl", "");
-    if (const XmlNode* keys = op_node->child("keys")) spec.keys = parse_keys(*keys, spec.name);
+    if (const XmlNode* keys = op_node->child("keys")) {
+      spec.keys = parse_keys(*keys, spec.name, key_tables);
+    }
     const std::string name = spec.name;
     index_of[name] = builder.add_operator(std::move(spec));
   }
@@ -141,13 +166,21 @@ std::string save_topology(const Topology& t, const std::string& app_name) {
     if (!op.keys.empty()) {
       XmlNode keys;
       keys.name = "keys";
-      std::ostringstream values;
-      values.precision(17);
-      for (std::size_t k = 0; k < op.keys.num_keys(); ++k) {
-        if (k > 0) values << ' ';
-        values << op.keys.probability(k);
+      if (op.keys.shape() == KeyDistribution::Shape::kExplicit) {
+        std::ostringstream values;
+        values.precision(17);
+        for (std::size_t k = 0; k < op.keys.num_keys(); ++k) {
+          if (k > 0) values << ' ';
+          values << op.keys.probability(k);
+        }
+        keys.attributes["values"] = values.str();
+      } else {
+        // The law itself: load_topology rebuilds the same table bit for bit.
+        const bool zipf = op.keys.shape() == KeyDistribution::Shape::kZipf;
+        keys.attributes["distribution"] = zipf ? "zipf" : "uniform";
+        keys.attributes["count"] = std::to_string(op.keys.num_keys());
+        if (zipf) keys.attributes["alpha"] = fmt(op.keys.alpha());
       }
-      keys.attributes["values"] = values.str();
       node.children.push_back(std::move(keys));
     }
     root.children.push_back(std::move(node));

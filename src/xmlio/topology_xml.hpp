@@ -32,8 +32,9 @@ Topology load_topology(const std::string& xml_text);
 /// Reads the description from a file.
 Topology load_topology_file(const std::string& path);
 
-/// Serializes a topology back to the description format (explicit key
-/// frequency values; times in milliseconds).
+/// Serializes a topology back to the description format (times in
+/// milliseconds).  Uniform and Zipf key distributions are written as their
+/// law, so they reload bit for bit; any other as explicit frequency values.
 std::string save_topology(const Topology& t, const std::string& app_name = "app");
 
 /// Writes the description to a file.

@@ -1,9 +1,18 @@
 // Unit tests for Algorithm 2 (bottleneck elimination): optimal replication
 // degrees, key-partitioning limits, stateful fallbacks, and the hold-off
-// replication budget of §3.2.
+// replication budget of §3.2; plus the KeyDistribution laws and shared
+// tables the partitioning reads.
 #include "core/bottleneck.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/key_partitioning.hpp"
@@ -60,6 +69,91 @@ TEST(KeyPartitioning, LptBeatsNaiveRoundRobinOnSkew) {
   const double floor_share = std::max(keys.max_probability(), 0.25);
   EXPECT_LT(p.max_share, floor_share * 1.35);
   EXPECT_GE(p.max_share, floor_share - 1e-12);
+}
+
+/// partition_keys with its LPT sort always run: the reference for the
+/// path that skips the sort on keys already in order.
+KeyPartition forced_sort_partition(const KeyDistribution& keys, int requested_replicas) {
+  const std::vector<double>& p = keys.probabilities();
+  const int bins = std::min(requested_replicas, static_cast<int>(p.size()));
+  std::vector<std::size_t> by_weight(p.size());
+  std::iota(by_weight.begin(), by_weight.end(), 0);
+  std::sort(by_weight.begin(), by_weight.end(), [&](std::size_t a, std::size_t b) {
+    return p[a] != p[b] ? p[a] > p[b] : a < b;
+  });
+  std::vector<double> load(static_cast<std::size_t>(bins), 0.0);
+  KeyPartition result;
+  result.replica_of_key.assign(p.size(), 0);
+  for (std::size_t k : by_weight) {
+    auto lightest = std::min_element(load.begin(), load.end());
+    *lightest += p[k];
+    result.replica_of_key[k] = static_cast<int>(lightest - load.begin());
+  }
+  std::vector<int> remap(static_cast<std::size_t>(bins), -1);
+  int used = 0;
+  for (std::size_t b = 0; b < load.size(); ++b) {
+    if (load[b] > 0.0) remap[b] = used++;
+  }
+  for (int& r : result.replica_of_key) r = remap[static_cast<std::size_t>(r)];
+  result.replicas = std::max(1, used);
+  result.max_share = *std::max_element(load.begin(), load.end());
+  return result;
+}
+
+TEST(KeyPartitioning, SortedKeysSkipTheSortWithIdenticalOutput) {
+  const std::vector<double> zipf = KeyDistribution::zipf(1000, 0.9).probabilities();
+  std::vector<double> reversed(zipf.rbegin(), zipf.rend());
+  std::vector<double> shuffled = zipf;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  const std::vector<std::pair<const char*, KeyDistribution>> cases = {
+      {"zipf law", KeyDistribution::zipf(1000, 0.9)},
+      {"uniform law", KeyDistribution::uniform(97)},
+      {"sorted list", KeyDistribution(zipf)},
+      {"reversed", KeyDistribution(reversed)},
+      {"shuffled", KeyDistribution(shuffled)},
+      {"sorted ties", KeyDistribution({3, 3, 2, 2, 2, 1, 1, 1, 0, 0})},
+      {"unsorted ties", KeyDistribution({1, 3, 2, 3, 0, 1, 2, 2, 0, 1})},
+  };
+  for (const auto& [name, keys] : cases) {
+    for (int replicas : {1, 2, 3, 8}) {
+      SCOPED_TRACE(std::string(name) + ", " + std::to_string(replicas) + " replicas");
+      const KeyPartition got = partition_keys(keys, replicas);
+      const KeyPartition want = forced_sort_partition(keys, replicas);
+      EXPECT_EQ(got.replica_of_key, want.replica_of_key);
+      EXPECT_EQ(got.replicas, want.replicas);
+      EXPECT_EQ(got.max_share, want.max_share);
+    }
+  }
+}
+
+// --------------------------------------------------------- KeyDistribution
+
+TEST(KeyDistribution, GeneratorsRecordTheirLaw) {
+  const KeyDistribution zipf = KeyDistribution::zipf(50, 1.2);
+  EXPECT_EQ(zipf.shape(), KeyDistribution::Shape::kZipf);
+  EXPECT_EQ(zipf.alpha(), 1.2);
+  EXPECT_EQ(KeyDistribution::uniform(5).shape(), KeyDistribution::Shape::kUniform);
+  EXPECT_EQ(KeyDistribution({1.0, 2.0}).shape(), KeyDistribution::Shape::kExplicit);
+  EXPECT_EQ(KeyDistribution({1.0, 2.0}).alpha(), 0.0);
+  const KeyDistribution none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.num_keys(), 0u);
+  EXPECT_EQ(none.max_probability(), 0.0);
+  EXPECT_THROW((void)none.probability(0), std::out_of_range);
+}
+
+TEST(KeyDistribution, CopiesShareOneTable) {
+  const KeyDistribution keys = KeyDistribution::zipf(1000, 0.8);
+  OperatorSpec spec;
+  spec.keys = keys;
+  const OperatorSpec copy = spec;
+  EXPECT_EQ(&copy.keys.probabilities(), &keys.probabilities());
+  EXPECT_EQ(copy.keys.shape(), KeyDistribution::Shape::kZipf);
+  EXPECT_EQ(copy.keys.alpha(), 0.8);
+  // Separately built laws own separate (equal) tables.
+  const KeyDistribution again = KeyDistribution::zipf(1000, 0.8);
+  EXPECT_NE(&again.probabilities(), &keys.probabilities());
+  EXPECT_EQ(again.probabilities(), keys.probabilities());
 }
 
 // ------------------------------------------------------------ Algorithm 2

@@ -166,7 +166,8 @@ TEST(Elastic, SloBreachRedeploysAndLandsUnderTheSlo) {
 
   ASSERT_NE(engine.controller(), nullptr);
   const ReconfigDecision* slo_redeploy = nullptr;
-  for (const ReconfigDecision& d : engine.controller()->decisions()) {
+  const std::vector<ReconfigDecision> decisions = engine.controller()->decisions();
+  for (const ReconfigDecision& d : decisions) {
     if (d.redeployed && d.slo_breached) {
       slo_redeploy = &d;
       break;
@@ -211,7 +212,8 @@ TEST(Elastic, RedeployDecisionsUseProfilerEstimates) {
 
   ASSERT_NE(engine.controller(), nullptr);
   const ReconfigDecision* redeploy = nullptr;
-  for (const ReconfigDecision& d : engine.controller()->decisions()) {
+  const std::vector<ReconfigDecision> decisions = engine.controller()->decisions();
+  for (const ReconfigDecision& d : decisions) {
     if (d.redeployed) {
       redeploy = &d;
       break;

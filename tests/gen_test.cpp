@@ -3,10 +3,16 @@
 // flow-conservation property of Alg. 1 on random topologies.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/key_distribution.hpp"
 #include "core/paths.hpp"
 #include "core/steady_state.hpp"
 #include "gen/random_topology.hpp"
@@ -60,6 +66,31 @@ TEST(Zipf, ShuffledKeepsMassButPermutesRanks) {
   std::sort(sorted.begin(), sorted.end(), std::greater<>());
   const auto reference = zipf_probabilities(20, 2.0);
   for (std::size_t i = 0; i < 20; ++i) EXPECT_NEAR(sorted[i], reference[i], 1e-12);
+}
+
+TEST(Zipf, ProbabilitiesAreTheKeyDistributionTable) {
+  for (const auto& [n, alpha] : std::vector<std::pair<std::size_t, double>>{
+           {1, 1.0}, {7, 0.3}, {100, 1.5}, {1000, 0.8}, {4096, 2.7}}) {
+    SCOPED_TRACE(std::to_string(n) + " keys, alpha " + std::to_string(alpha));
+    const std::vector<double> p = zipf_probabilities(n, alpha);
+    const KeyDistribution keys = KeyDistribution::zipf(n, alpha);
+    const std::vector<double>& table = keys.probabilities();
+    // The formula both once spelled out, in the same summation order.
+    std::vector<double> formula(n);
+    double total = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      formula[k] = 1.0 / std::pow(static_cast<double>(k + 1), alpha);
+      total += formula[k];
+    }
+    for (double& v : formula) v /= total;
+    ASSERT_EQ(p.size(), n);
+    std::size_t differing = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      differing += std::bit_cast<std::uint64_t>(p[k]) != std::bit_cast<std::uint64_t>(table[k]);
+      differing += std::bit_cast<std::uint64_t>(p[k]) != std::bit_cast<std::uint64_t>(formula[k]);
+    }
+    EXPECT_EQ(differing, 0u);
+  }
 }
 
 TEST(Zipf, RejectsBadParameters) {

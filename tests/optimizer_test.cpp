@@ -2,6 +2,9 @@
 // code generator, and the harness profiler — the §4 workflow pieces.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/codegen.hpp"
 #include "core/error.hpp"
 #include "core/optimizer.hpp"
@@ -218,6 +221,28 @@ TEST(Codegen, SerializesKeyDistributions) {
   const std::string source = generate_runtime_source(b.build(), {}, {});
   EXPECT_NE(source.find("ss::KeyDistribution({0.5, 0.5})"), std::string::npos);
   EXPECT_NE(source.find("kPartitionedStateful"), std::string::npos);
+}
+
+TEST(Codegen, EmitsGeneratedKeyLawsAsCalls) {
+  Topology::Builder b;
+  b.add_operator("src", 1.0 * kMs);
+  for (const auto& [name, keys] : {std::pair{"z", KeyDistribution::zipf(100000, 0.8)},
+                                   std::pair{"u", KeyDistribution::uniform(500)}}) {
+    OperatorSpec spec;
+    spec.name = name;
+    spec.service_time = 1.0 * kMs;
+    spec.state = StateKind::kPartitionedStateful;
+    spec.keys = keys;
+    b.add_operator(std::move(spec));
+  }
+  b.add_edge(0, 1).add_edge(1, 2);
+  const std::string source = generate_runtime_source(b.build(), {}, {});
+  EXPECT_NE(source.find("spec.keys = ss::KeyDistribution::zipf(100000, 0.80000000000000004);"),
+            std::string::npos)
+      << source;
+  EXPECT_NE(source.find("spec.keys = ss::KeyDistribution::uniform(500);"), std::string::npos);
+  EXPECT_EQ(source.find("ss::KeyDistribution({"), std::string::npos);
+  EXPECT_LT(source.size(), 4096u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tests of the XML layer: the mini-DOM parser (well-formedness, entities,
 // comments, error reporting with line numbers) and the topology description
-// format (number parsing, rejection of malformed key lists and non-finite
-// attributes, a bit-exact save/load differential on the Alg. 5 testbed).
+// format (number parsing, rejection of malformed key lists, key counts and
+// non-finite attributes, a bit-exact save/load differential on the Alg. 5
+// testbed, key laws saved as their parameters and shared on load).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -286,7 +288,8 @@ double through_text(double value) {
 
 /// What load_topology(save_topology(t)) must return, built without the
 /// parser: numbers as strtod reads their saved text, service times scaled
-/// from ms, key lists re-normalized by KeyDistribution.
+/// from ms, explicit key lists re-normalized by KeyDistribution.  Uniform
+/// and Zipf laws are saved as the law, so they must come back as they were.
 Topology reference_reload(const Topology& t) {
   Topology::Builder builder;
   for (const OperatorSpec& op : t.operators()) {
@@ -294,7 +297,7 @@ Topology reference_reload(const Topology& t) {
     spec.service_time = through_text(op.service_time * 1e3) * 1e-3;
     spec.selectivity.input = through_text(op.selectivity.input);
     spec.selectivity.output = through_text(op.selectivity.output);
-    if (!op.keys.empty()) {
+    if (op.keys.shape() == KeyDistribution::Shape::kExplicit && !op.keys.empty()) {
       std::vector<double> frequencies;
       for (double p : op.keys.probabilities()) frequencies.push_back(through_text(p));
       spec.keys = KeyDistribution(std::move(frequencies));
@@ -318,6 +321,8 @@ void expect_bit_identical(const Topology& loaded, const Topology& expected) {
     EXPECT_EQ(bits(a.service_time), bits(b.service_time)) << a.name;
     EXPECT_EQ(bits(a.selectivity.input), bits(b.selectivity.input)) << a.name;
     EXPECT_EQ(bits(a.selectivity.output), bits(b.selectivity.output)) << a.name;
+    EXPECT_EQ(a.keys.shape(), b.keys.shape()) << a.name;
+    EXPECT_EQ(bits(a.keys.alpha()), bits(b.keys.alpha())) << a.name;
     ASSERT_EQ(a.keys.num_keys(), b.keys.num_keys()) << a.name;
     std::size_t differing = 0;
     for (std::size_t k = 0; k < b.keys.num_keys(); ++k) {
@@ -333,23 +338,97 @@ void expect_bit_identical(const Topology& loaded, const Topology& expected) {
   }
 }
 
+/// A chain: a source, then one partitioned operator "agg<i>" per entry of
+/// `keys`.
+Topology keyed_chain(const std::vector<KeyDistribution>& keys) {
+  Topology::Builder builder;
+  builder.add_operator("source", 2e-5);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    OperatorSpec agg;
+    agg.name = "agg" + std::to_string(i);
+    agg.service_time = 2e-6;
+    agg.state = StateKind::kPartitionedStateful;
+    agg.keys = keys[i];
+    builder.add_operator(std::move(agg));
+    builder.add_edge(static_cast<OpIndex>(i), static_cast<OpIndex>(i + 1));
+  }
+  return builder.build();
+}
+
 TEST(TopologyXml, SaveLoadMatchesStrtodReferenceBitForBit) {
   std::vector<Topology> topologies = make_testbed(2018);
-  Topology::Builder keyed;
-  keyed.add_operator("source", 2e-5);
-  OperatorSpec agg;
-  agg.name = "agg";
-  agg.service_time = 2e-6;
-  agg.state = StateKind::kPartitionedStateful;
-  agg.keys = KeyDistribution::zipf(100000, 0.8);
-  keyed.add_operator(std::move(agg));
-  keyed.add_edge(0, 1);
-  topologies.push_back(keyed.build());
+  // A 100k-key explicit list keeps the from_chars list path checked at scale.
+  topologies.push_back(
+      keyed_chain({KeyDistribution(KeyDistribution::zipf(100000, 0.8).probabilities())}));
+  topologies.push_back(keyed_chain({KeyDistribution::zipf(100000, 0.8),
+                                    KeyDistribution::uniform(1000),
+                                    KeyDistribution({0.5, 0.25, 0.125, 0.125})}));
+  std::size_t laws = 0;
   for (std::size_t i = 0; i < topologies.size(); ++i) {
     SCOPED_TRACE("topology " + std::to_string(i));
     expect_bit_identical(load_topology(save_topology(topologies[i])),
                          reference_reload(topologies[i]));
+    for (const OperatorSpec& op : topologies[i].operators()) {
+      laws += op.keys.shape() == KeyDistribution::Shape::kZipf;
+    }
   }
+  EXPECT_GT(laws, 2u);  // the testbed's Zipf laws round-trip exactly too
+}
+
+TEST(TopologyXml, SavesGeneratedLawsAsTheirParameters) {
+  const KeyDistribution keys = KeyDistribution::zipf(100000, 0.8);
+  const std::string xml = save_topology(keyed_chain({keys, keys}));
+  EXPECT_LT(xml.size(), 2048u) << xml;
+  EXPECT_EQ(xml.find("values="), std::string::npos);
+  EXPECT_NE(xml.find("distribution=\"zipf\""), std::string::npos) << xml;
+  EXPECT_NE(xml.find("count=\"100000\""), std::string::npos) << xml;
+  const std::string uniform = save_topology(keyed_chain({KeyDistribution::uniform(64)}));
+  EXPECT_NE(uniform.find("<keys count=\"64\" distribution=\"uniform\"/>"), std::string::npos)
+      << uniform;
+  const std::string list = save_topology(keyed_chain({KeyDistribution({1, 1, 2})}));
+  EXPECT_NE(list.find("<keys values=\"0.25 0.25 0.5\"/>"), std::string::npos) << list;
+}
+
+TEST(TopologyXml, OperatorsWithOneLawShareOneTable) {
+  const Topology t = load_topology(
+      "<topology><operator name=\"src\" service-time=\"1\"/>"
+      "<operator name=\"a\" service-time=\"1\" state=\"partitioned\">"
+      "<keys distribution=\"zipf\" count=\"5000\" alpha=\"0.8\"/></operator>"
+      "<operator name=\"b\" service-time=\"1\" state=\"partitioned\">"
+      "<keys distribution=\"zipf\" count=\"5000\" alpha=\"0.8\"/></operator>"
+      "<operator name=\"c\" service-time=\"1\" state=\"partitioned\">"
+      "<keys distribution=\"zipf\" count=\"5000\" alpha=\"0.9\"/></operator>"
+      "<operator name=\"d\" service-time=\"1\" state=\"partitioned\">"
+      "<keys count=\"5000\"/></operator>"
+      "<operator name=\"e\" service-time=\"1\" state=\"partitioned\">"
+      "<keys distribution=\"uniform\" count=\"5e3\"/></operator>"
+      "<edge from=\"src\" to=\"a\"/><edge from=\"a\" to=\"b\"/>"
+      "<edge from=\"b\" to=\"c\"/><edge from=\"c\" to=\"d\"/>"
+      "<edge from=\"d\" to=\"e\"/></topology>");
+  const auto table = [&](const char* name) { return &t.op(*t.find(name)).keys.probabilities(); };
+  EXPECT_EQ(table("a"), table("b"));
+  EXPECT_NE(table("a"), table("c"));
+  EXPECT_NE(table("a"), table("d"));
+  EXPECT_EQ(table("d"), table("e"));
+  EXPECT_EQ(t.op(*t.find("e")).keys.shape(), KeyDistribution::Shape::kUniform);
+  EXPECT_EQ(t.op(*t.find("c")).keys.alpha(), 0.9);
+}
+
+TEST(TopologyXml, KeyCountMustBeAPositiveInteger) {
+  for (const char* count : {"2.5", "-1", "1e30", "0", "0.5", "100000001"}) {
+    EXPECT_EQ(load_error(with_keys(std::string("<keys distribution=\"zipf\" count=\"") + count +
+                                   "\" alpha=\"1\"/>")),
+              "topology xml: <keys count=...> of operator 'agg' must be a positive integer "
+              "(at most 100000000)")
+        << count;
+    EXPECT_EQ(load_error(with_keys(std::string("<keys count=\"") + count + "\"/>")),
+              "topology xml: <keys count=...> of operator 'agg' must be a positive integer "
+              "(at most 100000000)")
+        << count;
+  }
+  // Integral values in any strtod spelling still load.
+  EXPECT_EQ(load_topology(with_keys("<keys count=\"1e3\"/>")).op(1).keys.num_keys(), 1000u);
+  EXPECT_EQ(load_topology(with_keys("<keys count=\"+7.0\"/>")).op(1).keys.num_keys(), 7u);
 }
 
 TEST(TopologyXml, SaveLoadRoundTrip) {
@@ -367,11 +446,9 @@ TEST(TopologyXml, SaveLoadRoundTrip) {
   for (const Edge& e : original.edges()) {
     EXPECT_NEAR(reloaded.edge_probability(e.from, e.to), e.probability, 1e-6);
   }
-  // Key distributions survive via explicit values.
-  ASSERT_EQ(reloaded.op(1).keys.num_keys(), original.op(1).keys.num_keys());
-  for (std::size_t k = 0; k < original.op(1).keys.num_keys(); ++k) {
-    EXPECT_NEAR(reloaded.op(1).keys.probability(k), original.op(1).keys.probability(k), 1e-6);
-  }
+  // The Zipf law survives as its parameters and rebuilds the same table.
+  EXPECT_EQ(reloaded.op(1).keys.shape(), KeyDistribution::Shape::kZipf);
+  EXPECT_EQ(reloaded.op(1).keys.probabilities(), original.op(1).keys.probabilities());
 }
 
 TEST(TopologyXml, FileRoundTrip) {
