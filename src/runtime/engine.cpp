@@ -46,46 +46,56 @@ PredictedLatency make_predictions(const Topology& t, const Deployment& deploymen
   return pred;
 }
 
-/// Times one slice of operator logic as busy-ns, with blocked-on-send time
-/// charged inside the slice subtracted out (busy is pure service; blocked
-/// is accounted separately by the mailbox through the pinned context).
-/// With the gate closed this is a single relaxed load.
-template <typename F>
-inline void run_timed(TelemetryBoard& telemetry, OpIndex op, F&& body) {
-  if (!telemetry.enabled()) {
-    body();
-    return;
-  }
-  ScopedActorContext ctx(telemetry, op);
-  const Clock::time_point from = metering_now();
-  body();
-  const auto elapsed = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from).count());
-  const std::uint64_t blocked = ctx.blocked_ns();
-  telemetry.add_busy(op, elapsed > blocked ? elapsed - blocked : 0);
-}
+/// One busy slice of an actor step: pins the operator's actor context (a
+/// blocked send inside the slice charges that operator's blocked gauge)
+/// and, when telemetry is on, charges elapsed − blocked as busy time on
+/// close — busy is pure service plus dispatch, blocked is accounted
+/// separately by the mailbox.  With a profiler, the slice also feeds it
+/// the data items the slice fully processed: items >= 2 slices are the
+/// backlog bursts whose per-item gap is the non-blocking service time.
+/// Two clock reads per slice; with the gate closed, none.
+class BusySlice {
+ public:
+  BusySlice(TelemetryBoard& telemetry, OpIndex op, ProfileEstimator* profiler = nullptr)
+      : telemetry_(telemetry),
+        ctx_(telemetry, op),
+        profiler_(profiler),
+        op_(op),
+        open_(telemetry.enabled()),
+        from_(open_ ? metering_now() : Clock::time_point{}) {}
+  ~BusySlice() { close(); }
 
-/// Open batch-granularity metering slice (begin/end_batch_meter): while a
-/// slice is open on this thread, process_message() skips its per-message
-/// busy metering and the whole drained batch is timed once — two clock
-/// reads per batch instead of two per message.  Thread-local because a
-/// pooled worker drains exactly one actor at a time.
-struct BatchMeterSlice {
-  std::optional<ScopedActorContext> ctx;  ///< pins blocked-charging to the op
-  OpIndex op = kInvalidOp;
-  Clock::time_point from;
-  bool active = false;
-  /// Data messages fully processed inside this slice — the profiler's
-  /// inter-departure denominator (items >= 2 means the slice drained
-  /// backlog, i.e. ns/items samples the non-blocking service time).
-  std::uint64_t items = 0;
+  BusySlice(const BusySlice&) = delete;
+  BusySlice& operator=(const BusySlice&) = delete;
+
+  void count_item() { ++items_; }
+
+  /// Charges the slice now (idempotent); the context stays pinned.
+  void close() {
+    if (!open_) return;
+    open_ = false;
+    const auto elapsed = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from_).count());
+    const std::uint64_t blocked = ctx_.blocked_ns();
+    const std::uint64_t busy = elapsed > blocked ? elapsed - blocked : 0;
+    telemetry_.add_busy(op_, busy);
+    if (profiler_ != nullptr) profiler_->record_slice(op_, busy, items_);
+  }
+
+ private:
+  TelemetryBoard& telemetry_;
+  ScopedActorContext ctx_;
+  ProfileEstimator* profiler_;
+  OpIndex op_;
+  bool open_;
+  Clock::time_point from_;
+  std::uint64_t items_ = 0;
 };
-thread_local BatchMeterSlice tls_batch_slice;
 
 }  // namespace
 
-/// Per-thread output stage: while an actor slice runs (pooled drain,
-/// source pump, or a dedicated-thread burst), consecutive data results
+/// Per-thread output stage: while an actor step runs (serve batch or
+/// source pump, on either scheduler), consecutive data results
 /// bound for the same destination coalesce into one cache-line-aligned
 /// MessageBatch and reach the target mailbox as a unit
 /// (Mailbox::try_send_batch) instead of one try_send per message.
@@ -146,6 +156,7 @@ struct Engine::ActorState {
   std::set<std::int64_t> completed;        // collector: seq marks received
   // --- epoch fence (reconfigure)
   int fence_seen = 0;     ///< fence tokens received this barrier (actor thread only)
+  int shutdowns = 0;      ///< shutdown tokens received this epoch (actor thread only)
   bool fence_counted = false;  ///< counted toward fence_passed_ (fence_mutex_)
   bool finished = false;       ///< ran the shutdown epilogue (fence_mutex_)
   /// Quiesced at a fence: the scheduler completes the actor WITHOUT the
@@ -376,6 +387,7 @@ std::unique_ptr<Engine::EpochState> Engine::build_epoch(Deployment deployment,
       state->mailbox.set_on_ready(nullptr);  // the new scheduler re-hooks
       state->mailbox.set_owner_op(spec.op);  // blocked-edge attribution
       state->fence_seen = 0;
+      state->shutdowns = 0;
       state->fence_counted = false;
       state->finished = false;
       state->retired.store(false, std::memory_order_relaxed);
@@ -473,15 +485,7 @@ bool Engine::is_source(std::size_t id) const {
   return actor(id).spec.kind == ActorKind::kSource;
 }
 
-int Engine::incoming_channels(std::size_t id) const {
-  return actor(id).spec.incoming_channels;
-}
-
 Mailbox& Engine::mailbox(std::size_t id) { return actor(id).mailbox; }
-
-bool Engine::actor_retired(std::size_t id) const {
-  return actor(id).retired.load(std::memory_order_acquire);
-}
 
 bool Engine::send_to_actor(int actor_id, const Message& m) {
   const auto timeout =
@@ -491,25 +495,36 @@ bool Engine::send_to_actor(int actor_id, const Message& m) {
 
 // ------------------------------------------------------------ output staging
 
-void Engine::begin_output_batch(std::size_t /*id*/) {
-  // Staging exists to feed the ring's batched slot reservation; under
-  // --mailbox=mutex the engine runs the original per-message delivery so
-  // the A/B in bench/micro_runtime compares the whole hot path against the
-  // true baseline, not a hybrid.
-  if (config_.mailbox != MailboxKind::kRing) return;
-  OutputStage& stage = tls_output_stage;
-  stage.owner = this;
-  stage.target = -1;
-  stage.armed = true;
-  stage.batch.clear();
-}
+/// Arms the calling thread's output stage for one actor step and flushes
+/// it on every exit, normal or unwinding — always before the step returns,
+/// so staged data reaches its mailboxes ahead of any token the scheduler's
+/// finish/failure epilogue sends.
+class Engine::StageScope {
+ public:
+  explicit StageScope(Engine& engine) : engine_(engine) {
+    // Staging exists to feed the ring's batched slot reservation; under
+    // --mailbox=mutex the engine runs the original per-message delivery so
+    // the A/B in bench/micro_runtime compares the whole hot path against
+    // the true baseline, not a hybrid.
+    if (engine.config_.mailbox != MailboxKind::kRing) return;
+    OutputStage& stage = tls_output_stage;
+    stage.owner = &engine;
+    stage.target = -1;
+    stage.armed = true;
+    stage.batch.clear();
+  }
+  ~StageScope() {
+    engine_.flush_stage();
+    tls_output_stage.armed = false;
+    tls_output_stage.owner = nullptr;
+  }
 
-void Engine::flush_output_batch(std::size_t /*id*/) {
-  flush_stage();
-  OutputStage& stage = tls_output_stage;
-  stage.armed = false;
-  stage.owner = nullptr;
-}
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+ private:
+  Engine& engine_;
+};
 
 bool Engine::stage_message(int actor_id, const Message& m, bool count_emit) {
   OutputStage& stage = tls_output_stage;
@@ -595,19 +610,12 @@ void Engine::meter_arrival(OpIndex op, const Message& msg) {
   board_.add_latency(op, run_seconds() - msg.tuple.ts);
 }
 
-void Engine::meter_arrival(OpIndex op, const Message& msg, Clock::time_point now) {
-  if (!board_.latency_enabled() || msg.kind != Message::Kind::kData) return;
-  board_.add_latency(op, seconds_between(run_start_, now) - msg.tuple.ts);
-}
-
 void Engine::meter_exit(const Tuple& tuple) {
   if (!board_.latency_enabled()) return;
   board_.add_end_to_end(run_seconds() - tuple.ts);
 }
 
-void Engine::run_meta(std::size_t id, OpIndex member, const Tuple& tuple, OpIndex from) {
-  ActorState& st = actor(id);
-  st.pending.push_back(ActorState::PendingItem{member, tuple, from});
+void Engine::drain_pending(ActorState& st) {
   while (!st.pending.empty()) {
     ActorState::PendingItem item = st.pending.front();
     st.pending.pop_front();
@@ -615,17 +623,14 @@ void Engine::run_meta(std::size_t id, OpIndex member, const Tuple& tuple, OpInde
     MetaCollector out(*this, st, item.member);
     // Busy time is charged per *member*, so a fused group's ρ columns stay
     // per logical operator exactly like its counters.
-    run_timed(telemetry_, item.member, [&] {
-      st.member_logic[st.member_pos.at(item.member)]->process(item.tuple, item.from, out);
-    });
+    BusySlice slice(telemetry_, item.member);
+    st.member_logic[st.member_pos.at(item.member)]->process(item.tuple, item.from, out);
   }
 }
 
 void Engine::finish_actor(std::size_t id) {
-  // The epilogue below and the shutdown tokens at the end must not overtake
-  // data this thread still has staged (pooled slots flush via their guard
-  // before complete(); this covers the dedicated-thread loops).
-  flush_stage();
+  // No output stage is armed here: every step flushed its own before
+  // returning, so the tokens below cannot overtake staged data.
   ActorState& st = actor(id);
   switch (st.spec.kind) {
     case ActorKind::kWorker: {
@@ -643,13 +648,7 @@ void Engine::finish_actor(std::size_t id) {
       for (OpIndex m : st.spec.members) {
         MetaCollector out(*this, st, m);
         st.member_logic[st.member_pos.at(m)]->on_finish(out);
-        while (!st.pending.empty()) {
-          ActorState::PendingItem item = st.pending.front();
-          st.pending.pop_front();
-          board_.add_processed(item.member);
-          MetaCollector inner(*this, st, item.member);
-          st.member_logic[st.member_pos.at(item.member)]->process(item.tuple, item.from, inner);
-        }
+        drain_pending(st);
       }
       break;
     }
@@ -780,55 +779,24 @@ void Engine::process_message(std::size_t id, Message& msg) {
   }
   ActorState& st = actor(id);
   const OpIndex op = st.spec.op;
-  // Telemetry: the worker/replica paths share one clock read between the
-  // arrival-latency sample and the busy-span start, so metering adds a
-  // single extra read per message over the pre-telemetry engine — and
-  // none at all when the scheduler opened a batch slice around us.
-  const bool meter = telemetry_.enabled() && !tls_batch_slice.active;
+  // Worker and replica service is timed by serve_batch's busy slice; the
+  // routing actors only pin their context so a backpressure-blocked send
+  // charges the operator's blocked gauge.
+  const bool meter = telemetry_.enabled();
   switch (st.spec.kind) {
     case ActorKind::kWorker: {
       board_.add_processed(op);
       RouteCollector out(*this, op, st.rng);
-      if (meter) {
-        ScopedActorContext ctx(telemetry_, op);
-        const Clock::time_point from = metering_now();
-        meter_arrival(op, msg, from);
-        st.logic->process(msg.tuple, msg.from, out);
-        const auto elapsed = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from)
-                .count());
-        const std::uint64_t blocked = ctx.blocked_ns();
-        const std::uint64_t busy = elapsed > blocked ? elapsed - blocked : 0;
-        telemetry_.add_busy(op, busy);
-        if (profiler_ != nullptr) profiler_->record_slice(op, busy, 1);
-      } else {
-        meter_arrival(op, msg);
-        st.logic->process(msg.tuple, msg.from, out);
-      }
-      if (tls_batch_slice.active) ++tls_batch_slice.items;
+      meter_arrival(op, msg);
+      st.logic->process(msg.tuple, msg.from, out);
       break;
     }
     case ActorKind::kReplica: {
       board_.add_processed(op);
       st.current_seq = msg.seq;
       ReplicaCollector out(*this, op, st.collector_actor, msg.seq);
-      if (meter) {
-        ScopedActorContext ctx(telemetry_, op);
-        const Clock::time_point from = metering_now();
-        meter_arrival(op, msg, from);
-        st.logic->process(msg.tuple, msg.from, out);
-        const auto elapsed = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from)
-                .count());
-        const std::uint64_t blocked = ctx.blocked_ns();
-        const std::uint64_t busy = elapsed > blocked ? elapsed - blocked : 0;
-        telemetry_.add_busy(op, busy);
-        if (profiler_ != nullptr) profiler_->record_slice(op, busy, 1);
-      } else {
-        meter_arrival(op, msg);
-        st.logic->process(msg.tuple, msg.from, out);
-      }
-      if (tls_batch_slice.active) ++tls_batch_slice.items;
+      meter_arrival(op, msg);
+      st.logic->process(msg.tuple, msg.from, out);
       if (msg.seq >= 0) {
         // Tell the collector this input is fully processed so it can
         // release the next sequence number.
@@ -838,9 +806,7 @@ void Engine::process_message(std::size_t id, Message& msg) {
       break;
     }
     case ActorKind::kEmitter: {
-      // No busy timing (routing is overhead, not service), but pin the
-      // context so a backpressure-blocked send to a replica charges the
-      // operator's blocked gauge.
+      // No busy timing: routing is overhead, not service.
       std::optional<ScopedActorContext> ctx;
       if (meter) ctx.emplace(telemetry_, op);
       if (!st.key_cdf.empty()) {
@@ -880,227 +846,87 @@ void Engine::process_message(std::size_t id, Message& msg) {
       // The delay to the entry member; intra-group hand-offs are mailbox-
       // free (Alg. 4) and add no queueing worth metering.
       meter_arrival(msg.target, msg);
-      run_meta(id, msg.target, msg.tuple, msg.from);
+      st.pending.push_back(ActorState::PendingItem{msg.target, msg.tuple, msg.from});
+      drain_pending(st);
       break;
     case ActorKind::kSource:
       break;  // sources have no inbound data
   }
 }
 
-// Batch-granularity metering (pooled scheduler).  A drained batch is timed
-// as ONE busy slice charged to the actor's operator: two clock reads per
-// batch instead of two per message, which is what keeps armed-window
-// metering overhead flat on sub-microsecond operators.  The slice covers
-// dispatch (routing, try_send) as well as OperatorLogic::process — that
-// time is CPU the actor genuinely spends per item — while blocked-on-send
-// waits inside the slice are charged through the pinned context and
-// subtracted, exactly like the per-message path.  Only worker/replica
-// actors opt in: meta groups charge busy per logical member (run_meta) and
-// emitter/collector actors never charged busy per message either.
-bool Engine::begin_batch_meter(std::size_t id) {
-  if (!telemetry_.enabled()) return false;
-  const ActorState& st = actor(id);
-  if (st.spec.kind != ActorKind::kWorker && st.spec.kind != ActorKind::kReplica) {
-    return false;
-  }
-  BatchMeterSlice& slice = tls_batch_slice;
-  slice.op = st.spec.op;
-  slice.ctx.emplace(telemetry_, st.spec.op);
-  slice.from = metering_now();
-  slice.active = true;
-  slice.items = 0;
-  return true;
-}
-
-void Engine::end_batch_meter(std::size_t /*id*/) {
-  BatchMeterSlice& slice = tls_batch_slice;
-  const auto elapsed = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - slice.from)
-          .count());
-  const std::uint64_t blocked = slice.ctx->blocked_ns();
-  const std::uint64_t busy = elapsed > blocked ? elapsed - blocked : 0;
-  telemetry_.add_busy(slice.op, busy);
-  // The whole drained batch is one profiler slice: items >= 2 slices are
-  // the backlog bursts whose per-item gap is the non-blocking service time.
-  if (profiler_ != nullptr && slice.items > 0) {
-    profiler_->record_slice(slice.op, busy, slice.items);
-  }
-  slice.active = false;
-  slice.items = 0;
-  slice.ctx.reset();
-}
-
-void Engine::actor_loop(std::size_t id) {
-  // Messages are consumed in bounded bursts: one blocking receive, then
-  // non-blocking try_receive drains whatever arrived meanwhile.  FIFO order
-  // and semantics are identical to a plain receive loop; the burst exists
-  // so armed-window metering can time it as ONE busy slice (two clock
-  // reads per burst, as on the pooled drain path) — the blocking receive
-  // stays outside the slice, so idle wait never counts as busy.
-  static constexpr int kLoopBurst = 64;
+ServeResult Engine::serve_batch(std::size_t id, std::size_t max) {
+  // One drain hands the whole batch over, but each message's capacity slot
+  // is released only as it enters service — freeing the batch up front
+  // would give senders capacity B + batch and visibly weaken the BAS
+  // backpressure the cost models assume.  Tokens and data stay in FIFO
+  // order inside the batch.
+  thread_local std::vector<Message> batch;
+  batch.clear();
   ActorState& st = actor(id);
-  int shutdowns = 0;
-  Message msg;
-  bool running = true;
-  while (running && st.mailbox.receive(msg)) {
-    struct SliceGuard {
-      Engine* engine;
-      std::size_t id;
-      bool armed;
-      ~SliceGuard() {
-        if (armed) engine->end_batch_meter(id);
+  Mailbox& box = st.mailbox;
+  ServeResult result;
+  result.taken = box.drain(batch, max, /*release_now=*/false);
+  if (result.taken == 0) return result;
+  // A worker or replica batch is ONE busy slice: service plus dispatch
+  // (routing, try_send), blocked-on-send subtracted.  Fused groups charge
+  // per member (drain_pending); emitters and collectors route, which is
+  // overhead, not service.
+  std::optional<BusySlice> slice;
+  if (st.spec.kind == ActorKind::kWorker || st.spec.kind == ActorKind::kReplica) {
+    slice.emplace(telemetry_, st.spec.op, profiler_.get());
+  }
+  StageScope stage(*this);  // after the slice: the flush is busy time
+  // Slots of messages never served (early exit, or a throwing operator)
+  // are released before the stage flushes.
+  struct Unserved {
+    Mailbox& box;
+    std::size_t left;
+    ~Unserved() {
+      if (left > 0) box.release(left);
+    }
+  } unserved{box, result.taken};
+  for (Message& msg : batch) {
+    box.release(1);
+    --unserved.left;
+    if (msg.kind == Message::Kind::kShutdown) {
+      // FIFO per channel puts each upstream's token after its data, so
+      // once all tokens arrived no data can be pending later in the batch.
+      if (++st.shutdowns >= st.spec.incoming_channels) {
+        result.step = ActorStep::kFinished;
+        break;
       }
-    } slice{this, id, begin_batch_meter(id)};
-    // Stage outputs for the burst.  Declared after `slice` so the flush
-    // (destructor order) lands inside the busy slice, and runs before the
-    // next blocking receive so staged results never outwait an idle
-    // mailbox.  Covers the mid-burst `return` on fence retirement too.
-    struct StageGuard {
-      Engine* engine;
-      std::size_t id;
-      ~StageGuard() { engine->flush_output_batch(id); }
-    } stage{this, id};
-    begin_output_batch(id);
-    for (int n = 0;;) {
-      if (msg.kind == Message::Kind::kShutdown) {
-        if (++shutdowns >= st.spec.incoming_channels) {
-          running = false;
-          break;
-        }
-      } else {
-        process_message(id, msg);
-        // Retired at a fence: exit WITHOUT the finish epilogue — logic
-        // state and mailbox carry into the next epoch.
-        if (st.retired.load(std::memory_order_relaxed)) return;
-      }
-      if (++n >= kLoopBurst || !st.mailbox.try_receive(msg)) break;
+      continue;
+    }
+    process_message(id, msg);
+    if (slice && msg.kind == Message::Kind::kData) slice->count_item();
+    // The message was the actor's final fence token: it forwarded the
+    // fence and retired, its state carrying into the next epoch.  FIFO per
+    // channel puts every upstream's data before its token, so nothing can
+    // be pending later in the batch.
+    if (st.retired.load(std::memory_order_relaxed)) {
+      result.step = ActorStep::kRetired;
+      break;
     }
   }
-  finish_actor(id);
+  return result;
 }
 
-void Engine::source_loop(std::size_t id) {
+ActorStep Engine::pump_source(std::size_t id) {
   ActorState& st = actor(id);
   const OpIndex op = st.spec.op;
   RouteCollector out(*this, op, st.rng);
-  // Context pinned for the whole loop: generation time is busy, the
-  // downstream emit charges blocked when backpressured (the gate is
-  // re-checked per charge, so this is free while metering is off).
-  ScopedActorContext ctx(telemetry_, op);
+  // The whole quantum is ONE busy slice (generation + emit dispatch,
+  // blocked-on-send subtracted) and one output stage; stop and fence flags
+  // are re-checked per item, so neither ever delays a fence.
+  BusySlice slice(telemetry_, op);
+  StageScope stage(*this);
   Tuple tuple;
-  while (true) {
+  for (std::size_t i = 0; i < kSliceItems; ++i) {
     if (stop_.load(std::memory_order_relaxed)) {
       // A stop raised between a fence and its resume (e.g. a snapshot
       // write failure aborting the run) leaves already-generated items in
       // the fence buffer; deliver them before finishing — a bad disk must
       // never lose an in-flight tuple.
-      std::unique_lock lock(fence_mutex_);
-      if (fence_buffer_.empty()) break;
-      tuple = fence_buffer_.front();
-      fence_buffer_.pop_front();
-      lock.unlock();
-      board_.add_processed(op);
-      out.emit(tuple);
-      continue;
-    }
-    if (fence_active_.load(std::memory_order_acquire)) {
-      source_fence(id);
-      if (st.retired.load(std::memory_order_relaxed)) return;
-      continue;
-    }
-    if (telemetry_.enabled()) {
-      // Batch-granularity metering, as in pump_source: a bounded run of
-      // items is ONE busy slice (generation + emit dispatch, blocked-on-
-      // send subtracted through the nested context) — two clock reads per
-      // slice instead of two per item.  Stop and fence flags are
-      // re-checked per item, so slices never delay a fence.
-      ScopedActorContext slice(telemetry_, op);
-      const Clock::time_point from = metering_now();
-      bool ended = false;
-      begin_output_batch(id);
-      for (int n = 0; n < 64; ++n) {
-        if (stop_.load(std::memory_order_relaxed) ||
-            fence_active_.load(std::memory_order_acquire)) {
-          break;
-        }
-        if (!next_source_item(st, tuple)) {
-          ended = true;
-          break;
-        }
-        board_.add_processed(op);
-        out.emit(tuple);
-        // A paced source holding a half-filled batch would charge every
-        // staged item the pace gaps of its successors — visible directly
-        // in the percentiles.  While latency is being measured, hand each
-        // item over as it is produced; batching a rate-limited source
-        // buys nothing anyway (the win is back-to-back emission).
-        if (board_.latency_enabled()) flush_stage();
-      }
-      flush_output_batch(id);  // inside the slice: dispatch time is busy
-      const auto elapsed = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from)
-              .count());
-      const std::uint64_t blocked = slice.blocked_ns();
-      telemetry_.add_busy(op, elapsed > blocked ? elapsed - blocked : 0);
-      if (ended) break;
-    } else {
-      // Same bounded burst without the metering: emissions stage into
-      // MessageBatch hand-offs, and the stop/fence flags are re-checked
-      // per item so staging never delays a fence.
-      bool ended = false;
-      begin_output_batch(id);
-      for (int n = 0; n < 64; ++n) {
-        if (stop_.load(std::memory_order_relaxed) ||
-            fence_active_.load(std::memory_order_acquire)) {
-          break;
-        }
-        if (!next_source_item(st, tuple)) {
-          ended = true;
-          break;
-        }
-        board_.add_processed(op);
-        out.emit(tuple);
-        if (board_.latency_enabled()) flush_stage();  // see the metered twin
-      }
-      flush_output_batch(id);
-      if (ended) break;
-    }
-  }
-  finish_actor(id);
-}
-
-void Engine::run_actor(std::size_t id) {
-  if (is_source(id)) {
-    source_loop(id);
-  } else {
-    actor_loop(id);
-  }
-}
-
-bool Engine::pump_source(std::size_t id, int quantum) {
-  ActorState& st = actor(id);
-  const OpIndex op = st.spec.op;
-  RouteCollector out(*this, op, st.rng);
-  ScopedActorContext ctx(telemetry_, op);
-  // Batch-granularity metering, like begin/end_batch_meter on the drain
-  // side: the whole quantum is ONE busy slice (generation + emit dispatch,
-  // blocked-on-send subtracted through the pinned context) — two clock
-  // reads per quantum instead of two per generated item.
-  const bool meter = telemetry_.enabled();
-  const Clock::time_point from = meter ? metering_now() : Clock::time_point{};
-  const auto record = [&] {
-    if (!meter) return;
-    const auto elapsed = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from)
-            .count());
-    const std::uint64_t blocked = ctx.blocked_ns();
-    telemetry_.add_busy(op, elapsed > blocked ? elapsed - blocked : 0);
-  };
-  Tuple tuple;
-  for (int i = 0; i < quantum; ++i) {
-    if (stop_.load(std::memory_order_relaxed)) {
-      // Same contract as source_loop: a stop must not strand items the
-      // source already generated into the fence buffer.
       while (true) {
         std::unique_lock lock(fence_mutex_);
         if (fence_buffer_.empty()) break;
@@ -1110,31 +936,27 @@ bool Engine::pump_source(std::size_t id, int quantum) {
         board_.add_processed(op);
         out.emit(tuple);
       }
-      record();
-      return false;
+      return ActorStep::kFinished;
     }
     if (fence_active_.load(std::memory_order_acquire)) {
-      record();
+      slice.close();  // parking at the fence is not service
       source_fence(id);
-      return true;  // retired: the scheduler completes us without epilogue
+      return ActorStep::kRetired;
     }
-    if (!next_source_item(st, tuple)) {
-      record();
-      return false;
-    }
+    if (!next_source_item(st, tuple)) return ActorStep::kFinished;
     board_.add_processed(op);
     out.emit(tuple);
-    // Paced sources hand items over as produced while latency percentiles
-    // are live — a half-filled staged batch would charge every staged item
-    // its successors' pace gaps (see source_loop).
+    // A paced source holding a half-filled batch would charge every staged
+    // item the pace gaps of its successors — visible directly in the
+    // percentiles.  While latency is being measured, hand each item over
+    // as it is produced; batching a rate-limited source buys nothing
+    // anyway (the win is back-to-back emission).
     if (board_.latency_enabled()) flush_stage();
   }
-  record();
-  return true;
+  return ActorStep::kMore;
 }
 
 void Engine::report_failure(std::size_t id, const std::string& what) {
-  flush_stage();  // deliver what the failed slice already routed
   {
     std::lock_guard lock(failure_mutex_);
     if (first_failure_.empty()) {
@@ -1357,6 +1179,7 @@ bool Engine::checkpoint_now() {
     for (const auto& st : epoch_->actors) {
       st->mailbox.set_on_ready(nullptr);  // the new scheduler re-hooks
       st->fence_seen = 0;
+      st->shutdowns = 0;
       st->fence_counted = false;
       st->retired.store(false, std::memory_order_relaxed);
     }
@@ -1710,7 +1533,7 @@ void Engine::stop_run() {
 
 void Engine::request_stop() {
   // Raising stop before the run starts is legal: the run then drains
-  // immediately (sources see stop_requested on their first pump).  That
+  // immediately (sources see the stop flag on their first pump).  That
   // closes the race between a hot retire and the tenant's runner thread
   // still being inside start_execution().
   stop_run();

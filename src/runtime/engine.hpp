@@ -83,7 +83,7 @@ struct EngineConfig {
   int workers = 0;
   /// Messages a pooled worker drains per actor claim — the whole batch
   /// costs one mailbox lock acquisition (Mailbox::drain).  <= 0 means the
-  /// default of 64.  Ignored under kThreadPerActor.
+  /// default, kSliceItems (64).  Ignored under kThreadPerActor.
   int pool_batch = 0;
   /// Elastic re-deployment: run a ReconfigController that samples measured
   /// rates every `reconfig_period` seconds, re-runs Algorithms 1-3 on them
@@ -267,20 +267,12 @@ class Engine final : public EngineCore {
   // --- EngineCore: the surface the scheduler drives
   std::size_t num_actors() const override { return epoch_->actors.size(); }
   bool is_source(std::size_t id) const override;
-  int incoming_channels(std::size_t id) const override;
   Mailbox& mailbox(std::size_t id) override;
-  void run_actor(std::size_t id) override;
-  bool pump_source(std::size_t id, int quantum) override;
-  void process_message(std::size_t id, Message& m) override;
-  void begin_output_batch(std::size_t id) override;
-  void flush_output_batch(std::size_t id) override;
-  bool begin_batch_meter(std::size_t id) override;
-  void end_batch_meter(std::size_t id) override;
+  ActorStep pump_source(std::size_t id) override;
+  ServeResult serve_batch(std::size_t id, std::size_t max) override;
   void finish_actor(std::size_t id) override;
   void report_failure(std::size_t id, const std::string& what) override;
-  bool actor_retired(std::size_t id) const override;
   void actor_done(std::size_t id) override;
-  bool stop_requested() const override { return stop_.load(std::memory_order_relaxed); }
 
   /// Instantiates `deployment` as a new epoch.  `prev` (when non-null) is
   /// the quiesced previous epoch: actors of operators unchanged per `diff`
@@ -303,8 +295,9 @@ class Engine final : public EngineCore {
   /// Stops the controller (an in-flight switch-over completes first), then
   /// raises the stop flag under the epoch lock so no new switch-over starts.
   void stop_run();
-  void actor_loop(std::size_t id);
-  void source_loop(std::size_t id);
+  /// Dispatches one dequeued data/fence/seq-mark message to the actor's
+  /// logic (serve_batch's per-message body).
+  void process_message(std::size_t id, Message& m);
   /// Next item for the source actor: replays the fence buffer of the
   /// previous epoch first, then pulls from the SourceLogic.
   bool next_source_item(ActorState& st, Tuple& tuple);
@@ -324,10 +317,7 @@ class Engine final : public EngineCore {
   double run_seconds() const { return seconds_between(run_start_, metering_now()); }
   /// Records the source→operator delay of a data message about to be
   /// processed (steady-state window only; no-op while metering is off).
-  /// The overload taking `now` shares the caller's clock read (the busy
-  /// metering around the logic dispatch already read it).
   void meter_arrival(OpIndex op, const Message& msg);
-  void meter_arrival(OpIndex op, const Message& msg, Clock::time_point now);
   /// Fills the per-op queue depth / high-water columns of a snapshot from
   /// the live mailboxes (takes the epoch lock; peaks fold prior epochs).
   void fill_queue_stats(CounterSnapshot& snap) const;
@@ -362,7 +352,9 @@ class Engine final : public EngineCore {
   /// probabilistic when kInvalidOp) and delivers it; returns true when the
   /// result was delivered (or absorbed at a sink edge).
   bool route_result(OpIndex op, OpIndex target, const Tuple& tuple, Rng& rng);
-  void run_meta(std::size_t id, OpIndex member, const Tuple& tuple, OpIndex from);
+  /// Runs a fused group's work list until it is empty, each member's
+  /// service as its own busy slice (serving and the finish cascade alike).
+  void drain_pending(ActorState& st);
   void release_ordered(ActorState& st);
   ActorState& actor(std::size_t id) { return *epoch_->actors[id]; }
   const ActorState& actor(std::size_t id) const { return *epoch_->actors[id]; }
@@ -370,6 +362,7 @@ class Engine final : public EngineCore {
   class RouteCollector;
   class ReplicaCollector;
   class MetaCollector;
+  class StageScope;
 
   Topology topology_;
   AppFactory factory_;

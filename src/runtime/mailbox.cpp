@@ -399,14 +399,18 @@ void Mailbox::release_slots(std::size_t n) {
 }
 
 bool Mailbox::receive(Message& out) {
+  while (!try_receive(out)) {
+    if (!wait_nonempty()) return false;  // closed and drained
+  }
+  return true;
+}
+
+bool Mailbox::wait_nonempty() {
   if (kind_ == MailboxKind::kRing) {
     for (;;) {
-      if (ring_consume(out)) {
-        release_slots(1);
-        return true;
-      }
+      if (ring_ready() || spilled_.load(std::memory_order_acquire)) return true;
       std::unique_lock lock(mutex_);
-      if (ring_ready() || spilled_.load(std::memory_order_relaxed)) continue;
+      if (ring_ready() || spilled_.load(std::memory_order_relaxed)) return true;
       if (closed_.load(std::memory_order_relaxed)) return false;
       waiting_consumers_.fetch_add(1, std::memory_order_acq_rel);
       // Bounded waits, not one indefinite one: combined with kConsumerRepoll
@@ -418,19 +422,12 @@ bool Mailbox::receive(Message& out) {
       waiting_consumers_.fetch_sub(1, std::memory_order_acq_rel);
     }
   }
-  if (consume(out)) return true;
-  {
-    std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [&] {
-      return closed_.load(std::memory_order_relaxed) || !inbox_.empty();
-    });
-    if (inbox_.empty()) return false;  // closed and drained
-    outbox_.swap(inbox_);
-  }
-  out = outbox_.front();
-  outbox_.pop_front();
-  release_slots(1);
-  return true;
+  if (!outbox_.empty()) return true;
+  std::unique_lock lock(mutex_);
+  not_empty_.wait(lock, [&] {
+    return closed_.load(std::memory_order_relaxed) || !inbox_.empty();
+  });
+  return !inbox_.empty();  // false: closed and drained
 }
 
 bool Mailbox::try_receive(Message& out) {

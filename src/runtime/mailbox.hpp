@@ -110,6 +110,12 @@ class Mailbox {
   /// mailbox is closed *and* drained.
   bool receive(Message& out);
 
+  /// Blocks until a message is ready to consume (true) or the mailbox is
+  /// closed *and* drained (false).  Consumes nothing: the consumer follows
+  /// up with try_receive() or drain().  receive()'s wait, for consumers
+  /// that take whole batches.
+  bool wait_nonempty();
+
   /// Non-blocking variant; returns false when empty right now.
   bool try_receive(Message& out);
 

@@ -5,9 +5,10 @@
 // get CPU time is delegated to a Scheduler:
 //
 //   * ThreadPerActorScheduler — one dedicated thread per actor, blocking
-//     mailbox receive.  This is the configuration the paper evaluates
-//     (§5.1, one Akka actor per operator) and the default; its semantics
-//     are byte-for-byte those of the original monolithic engine.
+//     mailbox waits.  This is the configuration the paper evaluates (§5.1,
+//     one Akka actor per operator) and the default.  Each thread is a plain
+//     loop over the same engine steps the pool runs: pump a source quantum,
+//     or wait until the mailbox is non-empty and serve one batch.
 //   * PooledScheduler — multiplexes N actors onto K worker threads with
 //     work stealing.  Workers never park on a per-mailbox condition
 //     variable: each mailbox routes its empty→non-empty readiness hint
@@ -64,52 +65,49 @@ enum class PinMode : std::uint8_t {
 PinMode pin_mode_from_string(const std::string& name);
 const char* to_string(PinMode mode);
 
-/// What a Scheduler needs from the engine: actor-graph shape, the blocking
-/// per-actor loop (thread-per-actor mode) and the step-wise execution
-/// pieces (pooled mode).  Implemented by Engine.
+/// Items one actor step handles at most: a source pump emits up to this
+/// many tuples, a serve step takes up to this many messages (the pool's
+/// serve batch unless EngineConfig::pool_batch sets another).
+inline constexpr std::size_t kSliceItems = 64;
+
+/// How an actor step ended.
+enum class ActorStep : std::uint8_t {
+  kMore,      ///< the actor stays live; step it again when it has work
+  kFinished,  ///< end of stream: run finish_actor(), then actor_done()
+  kRetired,   ///< passed an epoch fence: actor_done() WITHOUT finish_actor()
+              ///< — its state stays alive for migration into the next epoch
+};
+
+/// Outcome of one serve step: messages taken from the mailbox, and how the
+/// step ended.
+struct ServeResult {
+  std::size_t taken = 0;
+  ActorStep step = ActorStep::kMore;
+};
+
+/// What a Scheduler needs from the engine: actor-graph shape and the actor
+/// steps both backends run.  Implemented by Engine.  A step may throw (an
+/// operator failed); the scheduler then calls report_failure() and
+/// completes the actor without finish_actor().
 class EngineCore {
  public:
   virtual ~EngineCore() = default;
 
   virtual std::size_t num_actors() const = 0;
   virtual bool is_source(std::size_t id) const = 0;
-  /// Shutdown tokens expected before the actor may finish.
-  virtual int incoming_channels(std::size_t id) const = 0;
   virtual Mailbox& mailbox(std::size_t id) = 0;
 
-  /// Runs one actor to completion: blocking receive loop (or source loop)
-  /// plus the finish/drain epilogue.  Thread-per-actor mode only.
-  virtual void run_actor(std::size_t id) = 0;
+  /// Emits up to kSliceItems source items as one busy slice and one output
+  /// stage (flushed before returning).
+  virtual ActorStep pump_source(std::size_t id) = 0;
 
-  /// Emits up to `quantum` source items; returns false when the source
-  /// ended (or the run was stopped) and the finish epilogue is due.
-  virtual bool pump_source(std::size_t id, int quantum) = 0;
-
-  /// Dispatches one already-dequeued data/seq-mark message to the actor's
-  /// logic.  The caller guarantees single-threaded access per actor.
-  virtual void process_message(std::size_t id, Message& m) = 0;
-
-  /// Output staging: a scheduler that hands an actor a whole batch
-  /// brackets it with this pair so the engine may coalesce consecutive
-  /// same-destination emissions into a cache-aligned MessageBatch and hand
-  /// them to the destination mailbox as one unit (Mailbox::try_send_batch).
-  /// flush is mandatory on every exit path *before* the actor is marked
-  /// complete — staged messages must reach their mailboxes while the slice
-  /// is still live, or tokens sent by the finish/fence epilogues would
-  /// overtake data.  Default: no staging (per-message delivery).
-  virtual void begin_output_batch(std::size_t /*id*/) {}
-  virtual void flush_output_batch(std::size_t /*id*/) {}
-
-  /// Batch-granularity utilization metering: a scheduler that hands an
-  /// actor a whole batch of messages brackets the batch with this pair so
-  /// the engine times the batch as ONE busy slice (two clock reads per
-  /// batch instead of two per message) and suppresses the per-message
-  /// metering inside process_message().  begin returns false — and the
-  /// scheduler must then skip the end call — when nothing was opened
-  /// (metering off, or the actor's busy time is charged per logical
-  /// member as for fused meta groups).  Default: per-message metering.
-  virtual bool begin_batch_meter(std::size_t /*id*/) { return false; }
-  virtual void end_batch_meter(std::size_t /*id*/) {}
+  /// Drains up to `max` messages and serves them in FIFO order as one busy
+  /// slice and one output stage, both closed before returning.  Each
+  /// message's capacity slot is released as it enters service, so senders
+  /// see exactly B; shutdown tokens are counted against the actor's input
+  /// channels.  Never blocks on an empty mailbox (taken == 0).  The caller
+  /// guarantees single-threaded access per actor.
+  virtual ServeResult serve_batch(std::size_t id, std::size_t max) = 0;
 
   /// Flushes logic state and propagates end-of-stream tokens downstream.
   virtual void finish_actor(std::size_t id) = 0;
@@ -118,17 +116,9 @@ class EngineCore {
   /// the drain completes; the engine rethrows after the run.
   virtual void report_failure(std::size_t id, const std::string& what) = 0;
 
-  /// True when `id` passed an epoch fence and retired: the scheduler must
-  /// complete the actor WITHOUT the finish epilogue (no logic flush, no
-  /// shutdown tokens) — its state stays alive for migration into the next
-  /// epoch.  Checked after process_message()/pump_source() returns.
-  virtual bool actor_retired(std::size_t id) const = 0;
-
   /// Actor `id` fully finished or retired; the engine's active-actor
   /// accounting and completion signalling live here.
   virtual void actor_done(std::size_t id) = 0;
-
-  virtual bool stop_requested() const = 0;
 };
 
 /// Execution policy: owns the threads that run the actors.
@@ -159,7 +149,7 @@ class Scheduler {
 
 /// `workers <= 0` means one worker per hardware thread; `batch` is the
 /// number of messages a pooled worker drains per actor claim (both pooled
-/// only, `batch <= 0` means the default of 64); `pin` maps pooled workers
+/// only, `batch <= 0` means kSliceItems); `pin` maps pooled workers
 /// to CPUs (kNone for the thread-per-actor backend).
 std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, int workers, int batch = 0,
                                           PinMode pin = PinMode::kNone);

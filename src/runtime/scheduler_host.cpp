@@ -1,7 +1,7 @@
 // SchedulerHost implementation: the pooled dispatcher generalized to many
-// tenants.  The per-actor mechanics (claim slot, bounded drain batch,
-// batch metering, fence retirement, requeue-on-race) are the pooled
-// scheduler's, ported verbatim but parameterized by tenant; what is new is
+// tenants.  The per-actor mechanics are a claim slot around one engine step
+// (source pump or serve batch — the steps thread-per-actor loops) plus
+// requeue-on-race, parameterized by tenant; what is new is
 // the cross-tenant layer — stride-weighted tenant selection, host-level
 // parking keyed on the aggregate pending count, blocking compensation
 // shared across tenants, and hot attach/detach under the tenant lock.
@@ -21,8 +21,6 @@
 namespace ss::runtime {
 
 namespace {
-constexpr int kDefaultBatch = 64;
-constexpr int kSourceQuantum = 64;
 /// Stride numerator: pass advances by kStrideScale/weight per dispatched
 /// actor batch, so a weight-2 tenant is served twice as often as a
 /// weight-1 neighbor when both stay ready.
@@ -106,7 +104,6 @@ struct SchedulerHost::Tenant {
   struct ActorSlot {
     std::atomic<bool> running{false};  ///< claim: one worker per actor
     std::atomic<bool> done{false};
-    int shutdowns = 0;  ///< tokens seen; touched only while claimed
   };
 
   std::unique_ptr<WorkStealingQueues> queues;  ///< per-tenant ready hints
@@ -126,7 +123,9 @@ struct SchedulerHost::Tenant {
 };
 
 SchedulerHost::SchedulerHost(int workers, int batch, PinMode pin)
-    : target_(workers), batch_(batch > 0 ? batch : kDefaultBatch), pin_(pin) {
+    : target_(workers),
+      batch_(batch > 0 ? static_cast<std::size_t>(batch) : kSliceItems),
+      pin_(pin) {
   if (target_ <= 0) {
     target_ = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }
@@ -379,11 +378,11 @@ bool SchedulerHost::run_one(std::size_t self) {
     }
   }
   if (!chosen) return false;
-  run_actor_slot(chosen, self, id);
+  run_slot(chosen, self, id);
   return true;
 }
 
-void SchedulerHost::run_actor_slot(const TenantId& t, std::size_t self, std::size_t id) {
+void SchedulerHost::run_slot(const TenantId& t, std::size_t self, std::size_t id) {
   Tenant::ActorSlot& slot = t->slots[id];
   if (slot.done.load(std::memory_order_acquire)) return;
   if (slot.running.exchange(true, std::memory_order_acq_rel)) return;  // claimed elsewhere
@@ -399,137 +398,45 @@ void SchedulerHost::run_actor_slot(const TenantId& t, std::size_t self, std::siz
   trace::set_thread_tenant(t->trace_label);
   EngineCore* core = t->core;
   t->last_worker[id].store(self, std::memory_order_relaxed);
-  bool requeue = false;
-  // Output staging: the engine coalesces a slice's consecutive
-  // same-destination emissions into a MessageBatch handed over with one
-  // try_send_batch.  Staged messages MUST flush before complete() — the
-  // finish/fence epilogues send tokens that may not overtake data, and the
-  // moment complete() drops the tenant's last `remaining` the engine may be
-  // destroyed under us.  close() covers the completion paths; the
-  // destructor covers normal exit and exceptions thrown before complete().
-  struct OutputStageGuard {
-    EngineCore* core;
-    std::size_t id;
-    bool armed;
-    void close() {
-      if (armed) core->flush_output_batch(id);
-      armed = false;
-    }
-    ~OutputStageGuard() { close(); }
-  };
-  if (core->is_source(id)) {
-    trace::Span span("pump", "actor");
-    span.set_arg("actor", static_cast<std::int64_t>(id));
-    bool more = false;
-    OutputStageGuard stage{core, id, true};
-    core->begin_output_batch(id);
-    try {
-      more = core->pump_source(id, kSourceQuantum);
-    } catch (const std::exception& e) {
-      stage.close();
-      core->report_failure(id, e.what());
-      complete(*t, id, /*run_finish=*/false);
-      return;
-    }
-    stage.close();
-    if (core->actor_retired(id)) {  // epoch fence: no finish epilogue
-      complete(*t, id, /*run_finish=*/false);
-      return;
-    }
-    if (!more) {
-      complete(*t, id, /*run_finish=*/true);
-      return;
-    }
-    requeue = true;  // sources stay ready until exhausted
-  } else {
-    // One lock acquisition hands the whole batch over (Mailbox::drain), but
-    // each message's capacity slot is released only as it enters service —
-    // freeing the whole batch up front would give senders capacity
-    // B + batch and visibly weaken the BAS backpressure the cost models
-    // assume.  Tokens and data stay in FIFO order inside the batch.
-    thread_local std::vector<Message> batch;
-    batch.clear();
-    trace::Span span("batch", "actor");
-    Mailbox& box = core->mailbox(id);
-    const std::size_t taken =
-        box.drain(batch, static_cast<std::size_t>(batch_), /*release_now=*/false);
-    span.set_arg("n", static_cast<std::int64_t>(taken));
-    if (taken > 0) {
-      t->batches.fetch_add(1, std::memory_order_relaxed);
-      t->batch_messages.fetch_add(taken, std::memory_order_relaxed);
-      std::uint64_t prev = t->max_batch.load(std::memory_order_relaxed);
-      while (prev < taken &&
-             !t->max_batch.compare_exchange_weak(prev, taken, std::memory_order_relaxed)) {
-      }
-    }
-    // Time the whole batch as one busy slice (per-message metering inside
-    // process_message is suppressed while the slice is open); the guard
-    // closes the slice on every exit path, including completions and
-    // failures.
-    // The slice must be closed BEFORE complete(): the moment complete()
-    // drops the tenant's last `remaining`, wait_drained() returns and the
-    // owner may destroy the engine — a guard firing after that would touch
-    // freed memory.  close() covers the completion paths; the destructor
-    // covers normal exit and exceptions thrown before complete().
-    struct BatchMeterGuard {
-      EngineCore* core;
-      std::size_t id;
-      bool armed;
-      void close() {
-        if (armed) core->end_batch_meter(id);
-        armed = false;
-      }
-      ~BatchMeterGuard() { close(); }
-    } meter{core, id, taken > 0 && core->begin_batch_meter(id)};
-    // Staging, declared after `meter` so the destructor (normal exit,
-    // exceptions before complete()) flushes first, then closes the slice —
-    // dispatch time lands in the busy slice.
-    OutputStageGuard stage{core, id, taken > 0};
-    if (stage.armed) core->begin_output_batch(id);
-    std::size_t released = 0;
-    try {
-      for (Message& msg : batch) {
-        box.release(1);
-        ++released;
-        if (msg.kind == Message::Kind::kShutdown) {
-          // FIFO per channel puts each upstream's token after its data, so
-          // once all tokens arrived no data can be pending behind them —
-          // a completed actor cannot strand messages later in the batch.
-          if (++slot.shutdowns >= core->incoming_channels(id)) {
-            if (taken > released) box.release(taken - released);
-            stage.close();
-            meter.close();
-            complete(*t, id, /*run_finish=*/true);
-            return;
-          }
-          continue;
-        }
-        core->process_message(id, msg);
-        if (core->actor_retired(id)) {
-          // The message was the actor's final fence token: it forwarded the
-          // fence and retired.  FIFO per channel puts every upstream's data
-          // before its token, so nothing can be pending later in the batch.
-          if (taken > released) box.release(taken - released);
-          stage.close();
-          meter.close();
-          complete(*t, id, /*run_finish=*/false);
-          return;
+  const bool source = core->is_source(id);
+  // One engine step.  It closes its busy slice and flushes its output
+  // stage before returning (or unwinding), so nothing it staged can be
+  // overtaken by the finish epilogue's tokens, and nothing touches the
+  // engine after complete() lets the tenant's owner destroy it.
+  ActorStep step = ActorStep::kMore;
+  try {
+    if (source) {
+      trace::Span span("pump", "actor");
+      span.set_arg("actor", static_cast<std::int64_t>(id));
+      step = core->pump_source(id);
+    } else {
+      trace::Span span("batch", "actor");
+      const ServeResult served = core->serve_batch(id, batch_);
+      span.set_arg("n", static_cast<std::int64_t>(served.taken));
+      if (served.taken > 0) {
+        t->batches.fetch_add(1, std::memory_order_relaxed);
+        t->batch_messages.fetch_add(served.taken, std::memory_order_relaxed);
+        std::uint64_t prev = t->max_batch.load(std::memory_order_relaxed);
+        while (prev < served.taken && !t->max_batch.compare_exchange_weak(
+                                          prev, served.taken, std::memory_order_relaxed)) {
         }
       }
-    } catch (const std::exception& e) {
-      if (taken > released) box.release(taken - released);
-      stage.close();
-      meter.close();
-      core->report_failure(id, e.what());
-      complete(*t, id, /*run_finish=*/false);
-      return;
+      step = served.step;
     }
+  } catch (const std::exception& e) {
+    core->report_failure(id, e.what());
+    complete(*t, id, /*run_finish=*/false);
+    return;
+  }
+  if (step != ActorStep::kMore) {
+    complete(*t, id, /*run_finish=*/step == ActorStep::kFinished);
+    return;
   }
   slot.running.store(false, std::memory_order_release);
-  // A message that arrived during the batch fired its readiness hint while
-  // we still held the claim (the hint was discarded): re-check so nothing
-  // is stranded.
-  if (requeue || core->mailbox(id).size() > 0) enqueue(t, id);
+  // Sources stay ready until exhausted.  A message that arrived during the
+  // batch fired its readiness hint while we still held the claim (the hint
+  // was discarded): re-check so nothing is stranded.
+  if (source || core->mailbox(id).size() > 0) enqueue(t, id);
 }
 
 void SchedulerHost::complete(Tenant& t, std::size_t id, bool run_finish) {

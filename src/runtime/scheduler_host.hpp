@@ -56,9 +56,9 @@ class SchedulerHost {
   using TenantId = std::shared_ptr<Tenant>;
 
   /// `workers <= 0` means one per hardware thread; `batch <= 0` means the
-  /// default drain batch of 64 messages per actor claim; `pin` maps worker
-  /// threads to CPUs (best-effort: warns once and continues unpinned when
-  /// sched_setaffinity is unavailable).
+  /// default drain batch of kSliceItems messages per actor claim; `pin`
+  /// maps worker threads to CPUs (best-effort: warns once and continues
+  /// unpinned when sched_setaffinity is unavailable).
   explicit SchedulerHost(int workers = 0, int batch = 0,
                          PinMode pin = PinMode::kNone);
   ~SchedulerHost();
@@ -112,13 +112,13 @@ class SchedulerHost {
   void maybe_spawn_locked();
   void worker_loop(std::size_t self);
   bool run_one(std::size_t self);
-  void run_actor_slot(const TenantId& t, std::size_t self, std::size_t id);
+  void run_slot(const TenantId& t, std::size_t self, std::size_t id);
   void complete(Tenant& t, std::size_t id, bool run_finish);
   void enqueue(const TenantId& t, std::size_t id);
   void wake_or_spawn();
 
   int target_;           ///< runnable-worker budget (K)
-  int batch_;            ///< messages drained per actor claim
+  std::size_t batch_;    ///< messages drained per actor claim
   PinMode pin_;          ///< worker-to-CPU mapping (--pin)
   int max_threads_ = 0;  ///< cap: target_ + sum of active tenants' actors
 

@@ -1,8 +1,9 @@
 // ThreadPerActorScheduler: one dedicated thread per actor, the §5.1
 // configuration the paper evaluates and the engine's default.  Each thread
-// runs the actor's blocking loop; a full destination mailbox blocks the
-// sending thread (Blocking-After-Service), which *is* the backpressure the
-// cost models capture.
+// loops the actor's engine step — the same pump and serve steps the pool
+// runs — and waits on its own mailbox between batches; a full destination
+// mailbox blocks the sending thread (Blocking-After-Service), which *is*
+// the backpressure the cost models capture.
 #include <thread>
 #include <vector>
 
@@ -21,7 +22,7 @@ class ThreadPerActorScheduler final : public Scheduler {
     for (std::size_t id = 0; id < core.num_actors(); ++id) {
       threads_.emplace_back([this, id] {
         try {
-          core_->run_actor(id);
+          if (run(id)) core_->finish_actor(id);
         } catch (const std::exception& e) {
           // No exception may cross a thread boundary: record the failure,
           // stop the run and unblock neighbours so the drain completes;
@@ -46,6 +47,22 @@ class ThreadPerActorScheduler final : public Scheduler {
   }
 
  private:
+  /// Steps actor `id` until it ends; true when the finish epilogue is due
+  /// (end of stream), false when it retired at an epoch fence.
+  bool run(std::size_t id) {
+    if (core_->is_source(id)) {
+      ActorStep step = ActorStep::kMore;
+      while (step == ActorStep::kMore) step = core_->pump_source(id);
+      return step == ActorStep::kFinished;
+    }
+    Mailbox& box = core_->mailbox(id);
+    while (box.wait_nonempty()) {
+      const ActorStep step = core_->serve_batch(id, kSliceItems).step;
+      if (step != ActorStep::kMore) return step == ActorStep::kFinished;
+    }
+    return true;  // closed and drained
+  }
+
   EngineCore* core_ = nullptr;
   std::vector<std::thread> threads_;
 };

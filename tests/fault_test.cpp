@@ -181,7 +181,8 @@ class CheckpointFaultTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  Engine make_engine(std::int64_t items, double period) {
+  Engine make_engine(std::int64_t items, double period,
+                     SchedulerKind kind = SchedulerKind::kThreadPerActor) {
     AppFactory factory;
     factory.source = [items](OpIndex, const OperatorSpec&) {
       return std::make_unique<PacedCountingSource>(items);
@@ -192,32 +193,43 @@ class CheckpointFaultTest : public ::testing::Test {
     EngineConfig config;
     config.checkpoint_dir = dir_;
     config.checkpoint_period = period;
+    config.scheduler = kind;
     return Engine(pipeline3(), Deployment{}, factory, config);
+  }
+
+  /// The first periodic snapshot throws.  The fence must still complete and
+  /// the pipeline drain — the failure stops the run early and surfaces on
+  /// the caller's thread (same contract as ThrowingLogic), never as a hang.
+  /// The stop lands while the source holds fence-buffered items, so this
+  /// checks the source step's stop/fence-buffer drain.
+  void expect_write_failure_surfaces_without_loss(SchedulerKind kind) {
+    FaultInjector::instance().fail_write_on(1);
+    Engine engine = make_engine(1'000'000, /*period=*/0.05, kind);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)engine.run_until_complete(duration<double>(60.0));
+      FAIL() << "expected ss::Error from the failed snapshot write";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("checkpoint"), std::string::npos) << e.what();
+    }
+    // Far below the watchdog: the failed write aborted the run, no stall.
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(),
+              30.0);
+    EXPECT_EQ(engine.checkpoints_written(), 0u);
+    // Nothing generated before the failure was lost: every tuple the source
+    // handed over was drained through to the sink (both stages process it).
+    EXPECT_EQ(g_sunk.load(), 2 * g_generated.load());
   }
 
   std::string dir_;
 };
 
 TEST_F(CheckpointFaultTest, SnapshotWriteFailureSurfacesWithoutStallingOrLosingTuples) {
-  // The first periodic snapshot throws.  The fence must still complete and
-  // the pipeline drain — the failure stops the run early and surfaces on
-  // the caller's thread (same contract as ThrowingLogic), never as a hang.
-  FaultInjector::instance().fail_write_on(1);
-  Engine engine = make_engine(1'000'000, /*period=*/0.05);
-  const auto start = std::chrono::steady_clock::now();
-  try {
-    (void)engine.run_until_complete(duration<double>(60.0));
-    FAIL() << "expected ss::Error from the failed snapshot write";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("checkpoint"), std::string::npos) << e.what();
-  }
-  // Far below the watchdog: the failed write aborted the run, no stall.
-  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count(),
-            30.0);
-  EXPECT_EQ(engine.checkpoints_written(), 0u);
-  // Nothing generated before the failure was lost: every tuple the source
-  // handed over was drained through to the sink (both stages process it).
-  EXPECT_EQ(g_sunk.load(), 2 * g_generated.load());
+  expect_write_failure_surfaces_without_loss(SchedulerKind::kThreadPerActor);
+}
+
+TEST_F(CheckpointFaultTest, SnapshotWriteFailureSurfacesWithoutStallingOrLosingTuplesOnPool) {
+  expect_write_failure_surfaces_without_loss(SchedulerKind::kPooled);
 }
 
 TEST_F(CheckpointFaultTest, TornSnapshotDoesNotFailTheRunAndIsSkippedOnLoad) {

@@ -135,5 +135,13 @@ TEST(FenceTsan, ForcedFenceSubsetStaysRaceFree) {
   }
 }
 
+TEST(FenceTsan, ThreadPerActorFenceSubsetStaysRaceFree) {
+  // The same slice on dedicated threads: both backends run the same serve
+  // and pump steps, so the sanitizer must see both loops race through them.
+  for (std::uint64_t seed = 433; seed < 435; ++seed) {
+    fence_and_check(seed, EngineConfig{}, /*items=*/900, /*forced=*/3);
+  }
+}
+
 }  // namespace
 }  // namespace ss::runtime

@@ -1,8 +1,9 @@
-// Tests of the pooled scheduler: semantic equivalence with the
-// thread-per-actor backend (exact accounting, fission/fusion, ordering,
-// failure propagation), deadlock-free drains of Algorithm-5 random
-// topologies on few workers, and throughput parity on the Fig. 11 / Table 1
-// topology.  The Stress.* case doubles as the TSAN target.
+// Tests of the two schedulers: the same semantic cases (exact accounting,
+// fission/fusion, ordering, failure propagation) on the pool and on
+// thread-per-actor, which loop the same engine steps; deadlock-free drains
+// of Algorithm-5 random topologies on few workers, and throughput parity
+// on the Fig. 11 / Table 1 topology.  The Stress.* case doubles as the
+// TSAN target.
 #include "runtime/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -131,6 +132,14 @@ EngineConfig pooled_config(int workers) {
   return cfg;
 }
 
+/// The semantic cases below run on either backend: a two-worker pool, or
+/// one thread per actor (`workers` is ignored there).
+EngineConfig config_for(SchedulerKind kind) {
+  EngineConfig cfg = pooled_config(2);
+  cfg.scheduler = kind;
+  return cfg;
+}
+
 TEST(SchedulerKindParsing, RoundTrips) {
   EXPECT_EQ(scheduler_kind_from_string("threads"), SchedulerKind::kThreadPerActor);
   EXPECT_EQ(scheduler_kind_from_string("pool"), SchedulerKind::kPooled);
@@ -139,16 +148,24 @@ TEST(SchedulerKindParsing, RoundTrips) {
   EXPECT_THROW(scheduler_kind_from_string("fibers"), ss::Error);
 }
 
-TEST(PooledScheduler, FiniteStreamFlowsExactly) {
+void finite_stream_flows_exactly(SchedulerKind kind) {
   Topology t = pipeline({"src", "a", "b", "sink"});
   static constexpr std::int64_t kItems = 2000;
-  Engine engine(t, Deployment{}, burst_factory(kItems), pooled_config(2));
+  Engine engine(t, Deployment{}, burst_factory(kItems), config_for(kind));
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
   EXPECT_EQ(stats.dropped, 0u);
   for (OpIndex i = 0; i < t.num_operators(); ++i) {
     EXPECT_EQ(stats.ops[i].processed, static_cast<std::uint64_t>(kItems)) << "op " << i;
     EXPECT_EQ(stats.ops[i].emitted, static_cast<std::uint64_t>(kItems)) << "op " << i;
   }
+}
+
+TEST(PooledScheduler, FiniteStreamFlowsExactly) {
+  finite_stream_flows_exactly(SchedulerKind::kPooled);
+}
+
+TEST(ThreadPerActorScheduler, FiniteStreamFlowsExactly) {
+  finite_stream_flows_exactly(SchedulerKind::kThreadPerActor);
 }
 
 TEST(PooledScheduler, SingleWorkerDrainsBackpressuredPipeline) {
@@ -182,13 +199,13 @@ TEST(PooledScheduler, TwentyOperatorRandomTopologyDrainsOnTwoWorkers) {
   }
 }
 
-TEST(PooledScheduler, FissionProcessesEverythingOnce) {
+void fission_processes_everything_once(SchedulerKind kind) {
   Topology t = pipeline({"src", "work", "sink"});
   static constexpr std::int64_t kItems = 5000;
   std::atomic<std::int64_t> seen{0};
   Deployment d;
   d.replication.replicas = {1, 4, 1};
-  Engine engine(t, d, burst_factory(kItems, &seen), pooled_config(2));
+  Engine engine(t, d, burst_factory(kItems, &seen), config_for(kind));
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
   EXPECT_EQ(seen.load(), 2 * kItems);  // once across work's replicas, once at the sink
   EXPECT_EQ(stats.ops[1].processed, static_cast<std::uint64_t>(kItems));
@@ -196,19 +213,35 @@ TEST(PooledScheduler, FissionProcessesEverythingOnce) {
   EXPECT_EQ(stats.dropped, 0u);
 }
 
-TEST(PooledScheduler, FusionComposesMembersInsideOneActor) {
+TEST(PooledScheduler, FissionProcessesEverythingOnce) {
+  fission_processes_everything_once(SchedulerKind::kPooled);
+}
+
+TEST(ThreadPerActorScheduler, FissionProcessesEverythingOnce) {
+  fission_processes_everything_once(SchedulerKind::kThreadPerActor);
+}
+
+void fusion_composes_members_inside_one_actor(SchedulerKind kind) {
   Topology t = pipeline({"src", "f1", "f2", "sink"});
   static constexpr std::int64_t kItems = 3000;
   Deployment d;
   d.fusions.push_back(FusionSpec{{1, 2}, "fused"});
-  Engine engine(t, d, burst_factory(kItems), pooled_config(2));
+  Engine engine(t, d, burst_factory(kItems), config_for(kind));
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
   EXPECT_EQ(stats.ops[1].processed, static_cast<std::uint64_t>(kItems));
   EXPECT_EQ(stats.ops[2].processed, static_cast<std::uint64_t>(kItems));
   EXPECT_EQ(stats.ops[3].processed, static_cast<std::uint64_t>(kItems));
 }
 
-TEST(PooledScheduler, PreservesReplicaOrderWhenConfigured) {
+TEST(PooledScheduler, FusionComposesMembersInsideOneActor) {
+  fusion_composes_members_inside_one_actor(SchedulerKind::kPooled);
+}
+
+TEST(ThreadPerActorScheduler, FusionComposesMembersInsideOneActor) {
+  fusion_composes_members_inside_one_actor(SchedulerKind::kThreadPerActor);
+}
+
+void preserves_replica_order_when_configured(SchedulerKind kind) {
   Topology t = pipeline({"src", "work", "sink"});
   static constexpr std::int64_t kItems = 4000;
   std::vector<std::int64_t> ids;
@@ -223,7 +256,7 @@ TEST(PooledScheduler, PreservesReplicaOrderWhenConfigured) {
   };
   Deployment d;
   d.replication.replicas = {1, 3, 1};
-  EngineConfig cfg = pooled_config(2);
+  EngineConfig cfg = config_for(kind);
   cfg.preserve_replica_order = true;
   Engine engine(t, d, factory, cfg);
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
@@ -232,7 +265,15 @@ TEST(PooledScheduler, PreservesReplicaOrderWhenConfigured) {
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
 }
 
-TEST(PooledScheduler, OperatorFailureAbortsTheRun) {
+TEST(PooledScheduler, PreservesReplicaOrderWhenConfigured) {
+  preserves_replica_order_when_configured(SchedulerKind::kPooled);
+}
+
+TEST(ThreadPerActorScheduler, PreservesReplicaOrderWhenConfigured) {
+  preserves_replica_order_when_configured(SchedulerKind::kThreadPerActor);
+}
+
+void operator_failure_aborts_the_run(SchedulerKind kind) {
   Topology t = pipeline({"src", "boom", "sink"});
   AppFactory factory;
   factory.source = [](OpIndex, const OperatorSpec&) {
@@ -242,8 +283,16 @@ TEST(PooledScheduler, OperatorFailureAbortsTheRun) {
     if (op == 1) return std::make_unique<Throws>();
     return std::make_unique<PassThrough>();
   };
-  Engine engine(t, Deployment{}, factory, pooled_config(2));
+  Engine engine(t, Deployment{}, factory, config_for(kind));
   EXPECT_THROW((void)engine.run_until_complete(duration<double>(30.0)), ss::Error);
+}
+
+TEST(PooledScheduler, OperatorFailureAbortsTheRun) {
+  operator_failure_aborts_the_run(SchedulerKind::kPooled);
+}
+
+TEST(ThreadPerActorScheduler, OperatorFailureAbortsTheRun) {
+  operator_failure_aborts_the_run(SchedulerKind::kThreadPerActor);
 }
 
 TEST(PooledScheduler, MatchesThreadPerActorThroughputOnTable1) {
