@@ -1369,6 +1369,7 @@ MetricsSample Engine::metrics_sample() const {
   s.latency = board_.latency_report();
   s.scheduler = scheduler_counters();
   s.epoch = epochs();
+  s.tenant = config_.tenant;
   s.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
   s.last_epoch_persisted = last_epoch_persisted_.load(std::memory_order_relaxed);
   s.recovered_from_epoch = recovered_from_epoch_;
@@ -1415,17 +1416,16 @@ void Engine::start_execution() {
   // window would have opened.  run_for's open_window later re-bases the
   // report so the final stats still cover only the window.
   if (config_.elastic && config_.slo_p99 > 0.0) board_.set_latency_enabled(true);
+  // Both metric sinks label operators by name.
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < topology_.num_operators(); ++i) {
+    names.push_back(topology_.op(static_cast<OpIndex>(i)).name);
+  }
   if (!config_.metrics_path.empty()) {
     // Construct before the scheduler starts: an unopenable path throws
     // here, before any actor thread exists.
-    std::vector<std::string> names;
-    names.reserve(topology_.num_operators());
-    for (std::size_t i = 0; i < topology_.num_operators(); ++i) {
-      names.push_back(topology_.op(static_cast<OpIndex>(i)).name);
-    }
-    exporter_ = std::make_unique<MetricsExporter>(
-        [this] { return metrics_sample(); }, std::move(names),
-        config_.metrics_path, config_.metrics_period, config_.tenant);
+    exporter_ = std::make_unique<MetricsExporter>([this] { return metrics_sample(); }, names,
+                                                  config_.metrics_path, config_.metrics_period);
   }
   if (config_.profile) {
     // The estimator is the telemetry board's blocked-edge sink for the
@@ -1462,11 +1462,6 @@ void Engine::start_execution() {
   if (config_.stats_port > 0) {
     // Bind before the scheduler starts: a taken or invalid port throws
     // here, before any actor thread exists.
-    std::vector<std::string> names;
-    names.reserve(topology_.num_operators());
-    for (std::size_t i = 0; i < topology_.num_operators(); ++i) {
-      names.push_back(topology_.op(static_cast<OpIndex>(i)).name);
-    }
     stats_server_ = std::make_unique<StatsServer>(
         config_.stats_port, [this] { return metrics_sample(); }, std::move(names));
   }

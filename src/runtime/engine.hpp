@@ -103,10 +103,9 @@ struct EngineConfig {
   /// the predictions attached to RunStats / metrics lines).
   Objective objective = Objective::kThroughput;
   /// When non-empty, a MetricsExporter appends one JSON metrics snapshot
-  /// per line to this file every `metrics_period` seconds (rates, measured
-  /// ρ, blocked fraction, queue depths, latency percentiles, scheduler
-  /// counters).  Busy/blocked metering is then enabled for the whole run,
-  /// not only the steady-state window.
+  /// per line to this file every `metrics_period` seconds (the rows of
+  /// telemetry.hpp's metric table).  Busy/blocked metering is then enabled
+  /// for the whole run, not only the steady-state window.
   std::string metrics_path;
   double metrics_period = 0.5;
   /// Epoch checkpointing (checkpoint.hpp): when `checkpoint_dir` is

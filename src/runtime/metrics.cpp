@@ -353,20 +353,16 @@ std::string format_stats(const Topology& t, const RunStats& stats) {
     out << "\n";
   }
   if (stats.scheduler.batches > 0) {
+    // Every counter under its exported name.  Many ring_enqueues per push
+    // is the design working (hints are edge-triggered), not lost hints.
     const double avg_batch = static_cast<double>(stats.scheduler.batch_messages) /
                              static_cast<double>(stats.scheduler.batches);
-    out << "scheduler: " << stats.scheduler.steals << " steals, " << stats.scheduler.parks
-        << " parks, " << stats.scheduler.wakeups << " wakeups, " << stats.scheduler.batches
-        << " batches (avg " << avg_batch << " msgs, max " << stats.scheduler.max_batch
-        << ")";
-    if (stats.scheduler.ring_enqueues > 0) {
-      // Ring fast-path volume next to the hint ledger it feeds: many
-      // enqueues per ready hint is the design working (edge-triggered
-      // hints), not lost hints.
-      out << ", " << stats.scheduler.ring_enqueues << " ring enqueues ("
-          << stats.scheduler.ring_spills << " spilled)";
+    const char* separator = "scheduler: ";
+    for (const SchedulerCounterField& f : kSchedulerCounterFields) {
+      out << separator << stats.scheduler.*f.member << ' ' << f.name;
+      separator = ", ";
     }
-    out << "\n";
+    out << " (avg " << avg_batch << " msgs/batch)\n";
     // Ready-hint ledger invariant of the quiescent pool: every pushed hint
     // was popped by its owner, stolen, or discarded at shutdown.  Checked
     // in release builds too — drift here means a scheduler accounting bug

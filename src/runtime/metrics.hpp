@@ -61,21 +61,44 @@ struct SchedulerCounters {
   std::uint64_t ring_enqueues = 0;
   std::uint64_t ring_spills = 0;
 
-  SchedulerCounters& operator+=(const SchedulerCounters& o) {
-    pushes += o.pushes;
-    local_pops += o.local_pops;
-    steals += o.steals;
-    discarded += o.discarded;
-    parks += o.parks;
-    wakeups += o.wakeups;
-    batches += o.batches;
-    batch_messages += o.batch_messages;
-    max_batch = max_batch > o.max_batch ? max_batch : o.max_batch;
-    ring_enqueues += o.ring_enqueues;
-    ring_spills += o.ring_spills;
-    return *this;
-  }
+  /// Sums every field (max_batch combines by max), walking the field list.
+  SchedulerCounters& operator+=(const SchedulerCounters& o);
 };
+
+/// One SchedulerCounters member, named once.  The list drives operator+=,
+/// the `sched` rows of the metric table (telemetry.hpp) and format_stats'
+/// scheduler line, in this order.
+struct SchedulerCounterField {
+  const char* name;  ///< JSON key; Prometheus family ss_sched_<name>[_total]
+  std::uint64_t SchedulerCounters::*member;
+  bool is_max;  ///< combines by max and exports as a gauge, else sums
+  const char* help;
+};
+
+inline constexpr SchedulerCounterField kSchedulerCounterFields[] = {
+    {"steals", &SchedulerCounters::steals, false, "ready hints stolen from another worker"},
+    {"parks", &SchedulerCounters::parks, false, "times a worker parked idle"},
+    {"wakeups", &SchedulerCounters::wakeups, false, "parked workers woken by a hint"},
+    {"batches", &SchedulerCounters::batches, false, "mailbox drain batches"},
+    {"batch_messages", &SchedulerCounters::batch_messages, false, "messages in drain batches"},
+    {"max_batch", &SchedulerCounters::max_batch, true, "largest drain batch"},
+    {"ring_enqueues", &SchedulerCounters::ring_enqueues, false, "ring fast-path enqueues"},
+    {"ring_spills", &SchedulerCounters::ring_spills, false, "enqueues spilled to the side queue"},
+    {"pushes", &SchedulerCounters::pushes, false, "ready hints pushed"},
+    {"local_pops", &SchedulerCounters::local_pops, false, "ready hints popped by their owner"},
+    {"discarded", &SchedulerCounters::discarded, false, "ready hints left at shutdown"},
+};
+// A member missing from the list would be summed and exported by nothing.
+static_assert(std::size(kSchedulerCounterFields) * 8 == sizeof(SchedulerCounters));
+
+inline SchedulerCounters& SchedulerCounters::operator+=(const SchedulerCounters& o) {
+  for (const SchedulerCounterField& f : kSchedulerCounterFields) {
+    std::uint64_t& mine = this->*f.member;
+    const std::uint64_t theirs = o.*f.member;
+    mine = f.is_max ? (mine > theirs ? mine : theirs) : mine + theirs;
+  }
+  return *this;
+}
 
 /// Percentile summary of one latency distribution (seconds).
 struct LatencySummary {

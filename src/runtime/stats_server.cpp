@@ -15,42 +15,6 @@
 
 namespace ss::runtime {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
-/// Prometheus label values escape backslash, quote and newline.
-std::string prom_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 StatsServer::StatsServer(int port, std::function<MetricsSample()> sampler,
                          std::vector<std::string> op_names)
     : port_(port), sampler_(std::move(sampler)), op_names_(std::move(op_names)) {
@@ -135,9 +99,9 @@ void StatsServer::serve(int client_fd) {
     body = "{\"error\":\"method not allowed\"}\n";
   } else if (path == "/metrics") {
     content_type = "text/plain; version=0.0.4";
-    body = render_prometheus(sampler_());
+    body = render_prometheus(sampler_(), op_names_);
   } else if (path == "/" || path == "/stats.json") {
-    body = render_json(sampler_());
+    body = render_json(sampler_(), op_names_);
   } else {
     status = 404;
     reason = "Not Found";
@@ -157,162 +121,6 @@ void StatsServer::serve(int client_fd) {
     if (w <= 0) break;
     sent += static_cast<std::size_t>(w);
   }
-}
-
-std::string StatsServer::render_json(const MetricsSample& s) const {
-  const CounterSnapshot& c = s.counters;
-  std::ostringstream out;
-  out.precision(6);
-  out << "{\"t\":" << c.at_seconds << ",\"epoch\":" << s.epoch
-      << ",\"dropped\":" << s.dropped << ",\"ops\":[";
-  const std::size_t n = c.processed.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) out << ",";
-    const double busy_s =
-        i < c.busy_ns.size() ? static_cast<double>(c.busy_ns[i]) * 1e-9 : 0.0;
-    const double blocked_s =
-        i < c.blocked_ns.size() ? static_cast<double>(c.blocked_ns[i]) * 1e-9 : 0.0;
-    out << "{\"name\":\""
-        << json_escape(i < op_names_.size() ? op_names_[i] : std::to_string(i))
-        << "\",\"processed\":" << c.processed[i]
-        << ",\"emitted\":" << (i < c.emitted.size() ? c.emitted[i] : 0)
-        << ",\"busy_s\":" << busy_s << ",\"blocked_s\":" << blocked_s
-        << ",\"queue\":" << (i < c.queue_depth.size() ? c.queue_depth[i] : 0)
-        << ",\"queue_peak\":" << (i < c.queue_peak.size() ? c.queue_peak[i] : 0);
-    if (busy_s > 0.0) {
-      out << ",\"busy_rate\":" << static_cast<double>(c.processed[i]) / busy_s;
-    }
-    if (i < s.profile.size()) {
-      const ProfileEstimate& p = s.profile[i];
-      out << ",\"est_rate\":" << p.estimated_rate
-          << ",\"confidence\":" << p.confidence << ",\"est_samples\":" << p.samples;
-      if (p.cv2 >= 0.0) out << ",\"cv2\":" << p.cv2;
-      out << ",\"queue_full\":" << p.queue_full_fraction;
-    }
-    if (i < s.latency.per_op.size() && s.latency.per_op[i].count > 0) {
-      const LatencySummary& l = s.latency.per_op[i];
-      out << ",\"p50_ms\":" << l.p50 * 1e3 << ",\"p95_ms\":" << l.p95 * 1e3
-          << ",\"p99_ms\":" << l.p99 * 1e3;
-    }
-    out << "}";
-  }
-  out << "],\"bottlenecks\":[";
-  for (std::size_t i = 0; i < s.bottlenecks.size(); ++i) {
-    if (i > 0) out << ",";
-    const BottleneckEntry& b = s.bottlenecks[i];
-    out << "{\"op\":\""
-        << json_escape(b.op < op_names_.size() ? op_names_[b.op]
-                                               : std::to_string(b.op))
-        << "\",\"blame_s\":" << b.blame_seconds << ",\"share\":" << b.share << "}";
-  }
-  out << "],\"e2e\":{\"count\":" << s.latency.end_to_end.count;
-  if (s.latency.end_to_end.count > 0) {
-    out << ",\"p50_ms\":" << s.latency.end_to_end.p50 * 1e3
-        << ",\"p95_ms\":" << s.latency.end_to_end.p95 * 1e3
-        << ",\"p99_ms\":" << s.latency.end_to_end.p99 * 1e3;
-  }
-  out << "},\"sched\":{\"steals\":" << s.scheduler.steals
-      << ",\"batches\":" << s.scheduler.batches
-      << ",\"ring_enqueues\":" << s.scheduler.ring_enqueues
-      << ",\"ring_spills\":" << s.scheduler.ring_spills << "}}\n";
-  return out.str();
-}
-
-std::string StatsServer::render_prometheus(const MetricsSample& s) const {
-  const CounterSnapshot& c = s.counters;
-  std::ostringstream out;
-  out.precision(6);
-  const auto label = [&](std::size_t i) {
-    return "{op=\"" +
-           prom_escape(i < op_names_.size() ? op_names_[i] : std::to_string(i)) +
-           "\"}";
-  };
-  const std::size_t n = c.processed.size();
-  out << "# TYPE ss_op_processed_total counter\n";
-  for (std::size_t i = 0; i < n; ++i) {
-    out << "ss_op_processed_total" << label(i) << " " << c.processed[i] << "\n";
-  }
-  out << "# TYPE ss_op_emitted_total counter\n";
-  for (std::size_t i = 0; i < n && i < c.emitted.size(); ++i) {
-    out << "ss_op_emitted_total" << label(i) << " " << c.emitted[i] << "\n";
-  }
-  out << "# TYPE ss_op_busy_seconds_total counter\n";
-  for (std::size_t i = 0; i < c.busy_ns.size(); ++i) {
-    out << "ss_op_busy_seconds_total" << label(i) << " "
-        << static_cast<double>(c.busy_ns[i]) * 1e-9 << "\n";
-  }
-  out << "# TYPE ss_op_blocked_seconds_total counter\n";
-  for (std::size_t i = 0; i < c.blocked_ns.size(); ++i) {
-    out << "ss_op_blocked_seconds_total" << label(i) << " "
-        << static_cast<double>(c.blocked_ns[i]) * 1e-9 << "\n";
-  }
-  out << "# TYPE ss_op_queue_depth gauge\n";
-  for (std::size_t i = 0; i < c.queue_depth.size(); ++i) {
-    out << "ss_op_queue_depth" << label(i) << " " << c.queue_depth[i] << "\n";
-  }
-  if (!s.profile.empty()) {
-    out << "# TYPE ss_op_estimated_service_rate gauge\n";
-    for (std::size_t i = 0; i < s.profile.size(); ++i) {
-      if (s.profile[i].estimated_rate <= 0.0) continue;
-      out << "ss_op_estimated_service_rate" << label(i) << " "
-          << s.profile[i].estimated_rate << "\n";
-    }
-    out << "# TYPE ss_op_busy_service_rate gauge\n";
-    for (std::size_t i = 0; i < s.profile.size(); ++i) {
-      if (s.profile[i].busy_rate <= 0.0) continue;
-      out << "ss_op_busy_service_rate" << label(i) << " " << s.profile[i].busy_rate
-          << "\n";
-    }
-    out << "# TYPE ss_op_profile_confidence gauge\n";
-    for (std::size_t i = 0; i < s.profile.size(); ++i) {
-      out << "ss_op_profile_confidence" << label(i) << " "
-          << s.profile[i].confidence << "\n";
-    }
-    out << "# TYPE ss_op_queue_full_fraction gauge\n";
-    for (std::size_t i = 0; i < s.profile.size(); ++i) {
-      out << "ss_op_queue_full_fraction" << label(i) << " "
-          << s.profile[i].queue_full_fraction << "\n";
-    }
-  }
-  if (!s.bottlenecks.empty()) {
-    out << "# TYPE ss_op_bottleneck_share gauge\n";
-    for (const BottleneckEntry& b : s.bottlenecks) {
-      out << "ss_op_bottleneck_share" << label(b.op) << " " << b.share << "\n";
-    }
-  }
-  bool latency_typed = false;
-  for (std::size_t i = 0; i < s.latency.per_op.size(); ++i) {
-    if (s.latency.per_op[i].count == 0) continue;
-    if (!latency_typed) {
-      out << "# TYPE ss_op_latency_seconds summary\n";
-      latency_typed = true;
-    }
-    const LatencySummary& l = s.latency.per_op[i];
-    out << "ss_op_latency_seconds{op=\""
-        << prom_escape(i < op_names_.size() ? op_names_[i] : std::to_string(i))
-        << "\",quantile=\"0.5\"} " << l.p50 << "\n";
-    out << "ss_op_latency_seconds{op=\""
-        << prom_escape(i < op_names_.size() ? op_names_[i] : std::to_string(i))
-        << "\",quantile=\"0.99\"} " << l.p99 << "\n";
-  }
-  if (s.latency.end_to_end.count > 0) {
-    out << "# TYPE ss_e2e_latency_seconds summary\n";
-    out << "ss_e2e_latency_seconds{quantile=\"0.5\"} " << s.latency.end_to_end.p50
-        << "\n";
-    out << "ss_e2e_latency_seconds{quantile=\"0.95\"} " << s.latency.end_to_end.p95
-        << "\n";
-    out << "ss_e2e_latency_seconds{quantile=\"0.99\"} " << s.latency.end_to_end.p99
-        << "\n";
-  }
-  out << "# TYPE ss_epoch gauge\nss_epoch " << s.epoch << "\n"
-      << "# TYPE ss_dropped_total counter\nss_dropped_total " << s.dropped << "\n"
-      << "# TYPE ss_sched_steals_total counter\nss_sched_steals_total "
-      << s.scheduler.steals << "\n"
-      << "# TYPE ss_sched_ring_enqueues_total counter\n"
-      << "ss_sched_ring_enqueues_total " << s.scheduler.ring_enqueues << "\n"
-      << "# TYPE ss_sched_ring_spills_total counter\nss_sched_ring_spills_total "
-      << s.scheduler.ring_spills << "\n";
-  return out.str();
 }
 
 }  // namespace ss::runtime

@@ -2,10 +2,12 @@
 // sockets (no third-party dependencies) that exposes the running engine's
 // measurements without waiting for exit stats.
 //
-//   GET /metrics     Prometheus-style text exposition (counters, rates,
-//                    profiler estimates, bottleneck shares, percentiles)
-//   GET /stats.json  one JSON snapshot (same data, nested per op)
+//   GET /metrics     render_prometheus of one sample
+//   GET /stats.json  render_json of one sample (no window: cumulative only)
 //   GET /            alias of /stats.json
+//
+// Both payloads are rendered from the metric table in telemetry.hpp; its
+// rows (and docs/runtime.md's schema table) name every field.
 //
 // The server binds 127.0.0.1:<port> in the constructor and throws
 // ss::Error when the port is invalid or already taken — the engine
@@ -45,10 +47,6 @@ class StatsServer {
   /// The bound port (== the requested one; kept for symmetry with tests
   /// that pass explicit ports).
   [[nodiscard]] int port() const { return port_; }
-
-  /// Payload builders, exposed for unit tests.
-  [[nodiscard]] std::string render_json(const MetricsSample& s) const;
-  [[nodiscard]] std::string render_prometheus(const MetricsSample& s) const;
 
  private:
   void loop();

@@ -25,11 +25,10 @@
 // charges the wait through it.  The fast path cost with metering enabled
 // is two thread-local stores per message plus two clock reads.
 //
-// MetricsExporter is the machine-readable side: a background thread
-// samples cumulative counters every period and appends one JSON object per
-// line (rates, ρ, blocked fraction, queue depths, latency percentiles,
-// scheduler counters) — the format bench/ and the harness reuse instead of
-// ad-hoc printouts.
+// The machine-readable side is one metric table (metric_rows() below):
+// every exported quantity is named once there, and the JSON renderer
+// (MetricsExporter's JSONL, StatsServer's /stats.json) and the Prometheus
+// renderer (/metrics) walk the same rows.
 #pragma once
 
 #include <atomic>
@@ -152,22 +151,24 @@ void charge_blocked(std::uint64_t ns);
 /// to the plain charge.
 void charge_blocked(std::uint64_t ns, OpIndex dest_op);
 
-// ---------------------------------------------------------------- exporter
+// ------------------------------------------------------------ metric table
 
-/// One cumulative sample of everything the runtime measures; the exporter
-/// turns consecutive samples into rates and window fractions.
+/// One cumulative sample of everything the runtime measures; the JSON
+/// renderer turns two consecutive samples into windowed rates.
 struct MetricsSample {
   CounterSnapshot counters;    ///< processed/emitted/busy/blocked/queues
   LatencyReport latency;       ///< cumulative percentile summaries
   SchedulerCounters scheduler;
   std::uint64_t dropped = 0;
   int epoch = 1;
+  /// Tenant tag of a co-hosted engine; empty = untagged (single tenant).
+  std::string tenant;
   // --- epoch checkpointing (zero when checkpointing is off)
   std::uint64_t checkpoints_written = 0;
   std::uint64_t last_epoch_persisted = 0;
   std::uint64_t recovered_from_epoch = 0;
-  /// Model predictions of the current epoch's deployment — written next to
-  /// the measured percentiles (per-op pred_ms/pred_p99_ms, e2e pred_*).
+  /// Model predictions of the current epoch's deployment, exported next to
+  /// the measured percentiles they should explain.
   PredictedLatency predicted;
   /// Online profiler output (empty when no ProfileEstimator is attached):
   /// per-op non-blocking rate estimates and the backpressure ranking.
@@ -175,22 +176,66 @@ struct MetricsSample {
   std::vector<BottleneckEntry> bottlenecks;
 };
 
-/// Background JSONL metrics writer: calls `sampler` every `period`
-/// seconds and appends one JSON object per line to `path` — fields: t,
-/// epoch, dropped, per-op {name, processed, emitted, proc_rate, emit_rate,
-/// rho, blocked, queue, queue_peak, p50_ms, p95_ms, p99_ms, pred_ms,
-/// pred_p99_ms}, e2e measured + predicted percentiles and sched counters.
-/// Rates and fractions are deltas over the sampling period; percentiles
-/// are cumulative.  A final sample is
-/// written on stop().  Throws ss::Error from the constructor when `path`
-/// cannot be opened.
+/// Where a row's values live: the sample's top level, one entry per
+/// operator, the e2e, checkpoint and scheduler blocks, or one entry per
+/// ranked bottleneck.
+enum class MetricScope { kTop, kOp, kE2e, kCkpt, kSched, kBottleneck };
+/// Prometheus type; a kQuantile row is one quantile of a summary family.
+enum class MetricType { kCounter, kGauge, kQuantile };
+/// Unit of a row's value.  Times are read in seconds: kMillis rows show ms
+/// in JSON and seconds in Prometheus.  kCount values print as integers.
+enum class MetricUnit { kCount, kSeconds, kMillis, kPerSecond, kRatio };
+
+/// What a row reads: the sample, the previous one (nullptr: no window),
+/// and the entry index within the row's scope.
+struct MetricView {
+  const MetricsSample& now;
+  const MetricsSample* prev;
+  std::size_t index;
+};
+
+/// One exported quantity.  `present` is its presence rule: a value it
+/// rejects appears in no sink.
+struct MetricRow {
+  MetricScope scope;
+  std::string key;     ///< JSON key, unique within the scope
+  std::string family;  ///< Prometheus family; empty: JSON only (windowed)
+  MetricType type;
+  MetricUnit unit;
+  std::string help;
+  std::function<double(const MetricView&)> value;
+  std::function<bool(const MetricView&)> present;
+  std::string quantile = {};  ///< kQuantile rows: the quantile label
+};
+
+/// The metric table: every quantity the runtime exports, in render order.
+/// docs/runtime.md ("Metric schema") lists the same rows.
+const std::vector<MetricRow>& metric_rows();
+
+/// One JSON object (newline-terminated) for `s`; operators are named by
+/// `op_names` (index when missing).  The windowed rows (rates, rho,
+/// blocked) are deltas since `prev` and appear only when it is given.
+std::string render_json(const MetricsSample& s, const std::vector<std::string>& op_names,
+                        const MetricsSample* prev = nullptr);
+
+/// Prometheus text exposition of `s`: every family with # HELP and # TYPE,
+/// per-op series labelled op="<name>", all labelled tenant="<tag>" when
+/// the sample has one.
+std::string render_prometheus(const MetricsSample& s,
+                              const std::vector<std::string>& op_names);
+
+// ---------------------------------------------------------------- exporter
+
+/// Background JSONL metrics writer: calls `sampler` every `period` seconds
+/// and appends render_json of the sample to `path`, windowed over the
+/// period (the first line over [0, t]).  A final sample is written on
+/// stop().  Throws ss::Error from the constructor when `path` cannot be
+/// opened.
 class MetricsExporter {
  public:
-  /// `tenant`, when non-empty, is written as a "tenant" field into every
-  /// line so analysis scripts can separate apps sharing one host.
   MetricsExporter(std::function<MetricsSample()> sampler,
                   std::vector<std::string> op_names, const std::string& path,
-                  double period_seconds, std::string tenant = {});
+                  double period_seconds);
   ~MetricsExporter();
 
   MetricsExporter(const MetricsExporter&) = delete;
@@ -210,10 +255,8 @@ class MetricsExporter {
   std::function<MetricsSample()> sampler_;
   std::vector<std::string> op_names_;
   double period_;
-  std::string tenant_;  ///< tenant tag of every line; empty = untagged
   std::unique_ptr<Impl> impl_;  ///< the output stream (keeps <fstream> out)
-  MetricsSample prev_;
-  bool have_prev_ = false;
+  MetricsSample prev_;  ///< the last sample written (the run start before any)
   std::size_t lines_ = 0;
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -12,20 +12,9 @@
 
 #include "core/error.hpp"
 
-namespace ss::runtime::trace {
+namespace ss::runtime {
 
-namespace {
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Minimal JSON string escaping (thread names can carry user operator
-/// names; event names are literals but escape uniformly anyway).
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
@@ -38,7 +27,7 @@ std::string json_escape(const std::string& s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
           out += buf;
         } else {
           out += c;
@@ -46,6 +35,19 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+}  // namespace ss::runtime
+
+namespace ss::runtime::trace {
+
+namespace {
+
+std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace

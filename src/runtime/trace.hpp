@@ -21,6 +21,16 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
+
+namespace ss::runtime {
+
+/// JSON string escaping shared by every JSON sink (trace, metrics JSONL,
+/// /stats.json): quote, backslash and the short escapes, other control
+/// characters as \u00XX — operator and tenant names are user strings.
+std::string json_escape(std::string_view s);
+
+}  // namespace ss::runtime
 
 namespace ss::runtime::trace {
 

@@ -320,8 +320,7 @@ std::string http_get(int port, const std::string& path) {
 }
 
 TEST(StatsServer, JsonRenderingCoversProfileAndBottlenecks) {
-  StatsServer server(free_port(), sample_fixture, {"source", "worker"});
-  const std::string json = server.render_json(sample_fixture());
+  const std::string json = render_json(sample_fixture(), {"source", "worker"});
   EXPECT_NE(json.find("\"name\":\"worker\""), std::string::npos);
   EXPECT_NE(json.find("\"est_rate\":400"), std::string::npos);
   EXPECT_NE(json.find("\"confidence\":0.8"), std::string::npos);
@@ -338,8 +337,7 @@ TEST(StatsServer, JsonRenderingCoversProfileAndBottlenecks) {
 }
 
 TEST(StatsServer, PrometheusRenderingDeclaresTypesForEveryFamily) {
-  StatsServer server(free_port(), sample_fixture, {"source", "worker"});
-  const std::string text = server.render_prometheus(sample_fixture());
+  const std::string text = render_prometheus(sample_fixture(), {"source", "worker"});
   for (const char* family :
        {"ss_op_processed_total", "ss_op_busy_seconds_total",
         "ss_op_estimated_service_rate", "ss_op_profile_confidence",

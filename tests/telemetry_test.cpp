@@ -337,6 +337,17 @@ MetricsSample synthetic_sample(int tick) {
   return s;
 }
 
+/// Waits until the exporter thread has called the sampler `n` times (each
+/// call bumps `tick`); false after a deadline no healthy run reaches.
+bool wait_for_ticks(const std::atomic<int>& tick, int n) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (tick.load() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(MetricsExporter, WritesOneJsonObjectPerLineAndAFinalSample) {
   const std::string path = "telemetry_test_metrics.jsonl";
   std::atomic<int> tick{0};
@@ -344,7 +355,7 @@ TEST(MetricsExporter, WritesOneJsonObjectPerLineAndAFinalSample) {
     MetricsExporter exporter([&] { return synthetic_sample(++tick); },
                              {"src", "work"}, path, 0.05);
     exporter.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(180));
+    ASSERT_TRUE(wait_for_ticks(tick, 2));
     exporter.stop();
     EXPECT_GE(exporter.lines_written(), 2u);  // periodic samples + final
   }
@@ -375,7 +386,7 @@ TEST(MetricsExporter, RatesAreDeltasOverThePeriod) {
     MetricsExporter exporter([&] { return synthetic_sample(++tick); },
                              {"src", "work"}, path, 0.04);
     exporter.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    ASSERT_TRUE(wait_for_ticks(tick, 2));
     exporter.stop();
   }
   // Every sample advances processed by 100 and time by 0.1 s: once a
@@ -402,6 +413,324 @@ TEST(MetricsExporter, EngineRejectsUnwritableMetricsPathBeforeStarting) {
   config.metrics_path = "/nonexistent-dir/metrics.jsonl";
   Engine engine(t, Deployment{}, synthetic_factory(), config);
   EXPECT_THROW(engine.run_for(duration<double>(0.2)), Error);
+}
+
+
+// ------------------------------------------------------------ metric table
+
+LatencySummary summary_of(std::uint64_t count, double p50, double p95, double p99) {
+  LatencySummary l;
+  l.count = count;
+  l.mean = p50;
+  l.p50 = p50;
+  l.p95 = p95;
+  l.p99 = p99;
+  return l;
+}
+
+/// Every exported value distinct and non-zero, and operator 0 ("src")
+/// different from operator 1 ("work") everywhere: a row that reads the
+/// wrong field or the wrong operator renders some other number.
+MetricsSample golden_sample() {
+  MetricsSample s;
+  s.tenant = "blue";
+  s.epoch = 4;
+  s.dropped = 6;
+  s.counters.at_seconds = 3.0;
+  s.counters.processed = {2002, 1001};
+  s.counters.emitted = {1902, 803};
+  s.counters.busy_ns = {1'100'000'000, 1'500'000'000};
+  s.counters.blocked_ns = {50'000'000, 250'000'000};
+  s.counters.queue_depth = {19, 7};
+  s.counters.queue_peak = {29, 13};
+  s.profile.resize(2);
+  s.profile[0] = {111.0, 112.0, 0.11, 0.12, 0.13, 14};
+  s.profile[1].estimated_rate = 777.0;
+  s.profile[1].busy_rate = 555.0;
+  s.profile[1].cv2 = 0.45;
+  s.profile[1].queue_full_fraction = 0.35;
+  s.profile[1].confidence = 0.85;
+  s.profile[1].samples = 321;
+  s.latency.per_op = {summary_of(55, 0.0011, 0.0012, 0.0013),
+                      summary_of(99, 0.0021, 0.0034, 0.0047)};
+  s.latency.end_to_end = summary_of(4321, 0.0123, 0.0234, 0.0345);
+  s.predicted.valid = true;
+  s.predicted.op_response = {0.0007, 0.0016};
+  s.predicted.op_p99 = {0.0009, 0.0058};
+  s.predicted.mean = 0.0144;
+  s.predicted.p50 = 0.0111;
+  s.predicted.p95 = 0.0222;
+  s.predicted.p99 = 0.0333;
+  s.checkpoints_written = 8;
+  s.last_epoch_persisted = 9;
+  s.recovered_from_epoch = 5;
+  s.bottlenecks.push_back({1, 0.65, 0.9});
+  SchedulerCounters& c = s.scheduler;
+  c.steals = 31;
+  c.parks = 41;
+  c.wakeups = 37;
+  c.batches = 53;
+  c.batch_messages = 159;
+  c.max_batch = 17;
+  c.ring_enqueues = 211;
+  c.ring_spills = 23;
+  c.pushes = 101;
+  c.local_pops = 67;
+  c.discarded = 3;
+  return s;
+}
+
+/// The sample two seconds earlier: "work" processed 500 (250/s), emitted
+/// 400 (200/s), was busy 0.6 s (rho 0.3) and blocked 0.08 s (0.04).
+MetricsSample golden_prev() {
+  MetricsSample p;
+  p.counters.at_seconds = 1.0;
+  p.counters.processed = {1002, 501};
+  p.counters.emitted = {902, 403};
+  p.counters.busy_ns = {100'000'000, 900'000'000};
+  p.counters.blocked_ns = {10'000'000, 170'000'000};
+  return p;
+}
+
+/// The schema itself: each row's JSON key, Prometheus family (empty: JSON
+/// only) and the golden sample's value in each sink (ms in JSON, seconds
+/// in Prometheus).  Per-op and bottleneck rows show operator "work".
+struct GoldenRow {
+  MetricScope scope;
+  const char* key;
+  const char* family;
+  const char* json;
+  const char* prom;
+};
+
+constexpr GoldenRow kGolden[] = {
+    {MetricScope::kTop, "t", "ss_run_seconds", "3", "3"},
+    {MetricScope::kTop, "epoch", "ss_epoch", "4", "4"},
+    {MetricScope::kTop, "dropped", "ss_dropped_total", "6", "6"},
+    {MetricScope::kOp, "processed", "ss_op_processed_total", "1001", "1001"},
+    {MetricScope::kOp, "emitted", "ss_op_emitted_total", "803", "803"},
+    {MetricScope::kOp, "proc_rate", "", "250", ""},
+    {MetricScope::kOp, "emit_rate", "", "200", ""},
+    {MetricScope::kOp, "rho", "", "0.3", ""},
+    {MetricScope::kOp, "blocked", "", "0.04", ""},
+    {MetricScope::kOp, "busy_s", "ss_op_busy_seconds_total", "1.5", "1.5"},
+    {MetricScope::kOp, "blocked_s", "ss_op_blocked_seconds_total", "0.25", "0.25"},
+    {MetricScope::kOp, "queue", "ss_op_queue_depth", "7", "7"},
+    {MetricScope::kOp, "queue_peak", "ss_op_queue_peak", "13", "13"},
+    {MetricScope::kOp, "est_rate", "ss_op_estimated_service_rate", "777", "777"},
+    {MetricScope::kOp, "busy_rate", "ss_op_busy_service_rate", "555", "555"},
+    {MetricScope::kOp, "confidence", "ss_op_profile_confidence", "0.85", "0.85"},
+    {MetricScope::kOp, "est_samples", "ss_op_profile_samples", "321", "321"},
+    {MetricScope::kOp, "cv2", "ss_op_service_cv2", "0.45", "0.45"},
+    {MetricScope::kOp, "queue_full", "ss_op_queue_full_fraction", "0.35", "0.35"},
+    {MetricScope::kOp, "p50_ms", "ss_op_latency_seconds", "2.1", "0.0021"},
+    {MetricScope::kOp, "p95_ms", "ss_op_latency_seconds", "3.4", "0.0034"},
+    {MetricScope::kOp, "p99_ms", "ss_op_latency_seconds", "4.7", "0.0047"},
+    {MetricScope::kOp, "pred_ms", "ss_op_predicted_response_seconds", "1.6", "0.0016"},
+    {MetricScope::kOp, "pred_p99_ms", "ss_op_predicted_p99_seconds", "5.8", "0.0058"},
+    {MetricScope::kE2e, "count", "ss_e2e_samples_total", "4321", "4321"},
+    {MetricScope::kE2e, "p50_ms", "ss_e2e_latency_seconds", "12.3", "0.0123"},
+    {MetricScope::kE2e, "p95_ms", "ss_e2e_latency_seconds", "23.4", "0.0234"},
+    {MetricScope::kE2e, "p99_ms", "ss_e2e_latency_seconds", "34.5", "0.0345"},
+    {MetricScope::kE2e, "pred_p50_ms", "ss_e2e_predicted_latency_seconds", "11.1", "0.0111"},
+    {MetricScope::kE2e, "pred_p95_ms", "ss_e2e_predicted_latency_seconds", "22.2", "0.0222"},
+    {MetricScope::kE2e, "pred_p99_ms", "ss_e2e_predicted_latency_seconds", "33.3", "0.0333"},
+    {MetricScope::kE2e, "pred_mean_ms", "ss_e2e_predicted_mean_seconds", "14.4", "0.0144"},
+    {MetricScope::kCkpt, "written", "ss_checkpoints_written_total", "8", "8"},
+    {MetricScope::kCkpt, "last_epoch", "ss_checkpoint_last_epoch", "9", "9"},
+    {MetricScope::kCkpt, "recovered_from", "ss_checkpoint_recovered_from_epoch", "5", "5"},
+    {MetricScope::kBottleneck, "blame_s", "ss_op_bottleneck_blame_seconds", "0.65", "0.65"},
+    {MetricScope::kBottleneck, "share", "ss_op_bottleneck_share", "0.9", "0.9"},
+    {MetricScope::kSched, "steals", "ss_sched_steals_total", "31", "31"},
+    {MetricScope::kSched, "parks", "ss_sched_parks_total", "41", "41"},
+    {MetricScope::kSched, "wakeups", "ss_sched_wakeups_total", "37", "37"},
+    {MetricScope::kSched, "batches", "ss_sched_batches_total", "53", "53"},
+    {MetricScope::kSched, "batch_messages", "ss_sched_batch_messages_total", "159", "159"},
+    {MetricScope::kSched, "max_batch", "ss_sched_max_batch", "17", "17"},
+    {MetricScope::kSched, "ring_enqueues", "ss_sched_ring_enqueues_total", "211", "211"},
+    {MetricScope::kSched, "ring_spills", "ss_sched_ring_spills_total", "23", "23"},
+    {MetricScope::kSched, "pushes", "ss_sched_pushes_total", "101", "101"},
+    {MetricScope::kSched, "local_pops", "ss_sched_local_pops_total", "67", "67"},
+    {MetricScope::kSched, "discarded", "ss_sched_discarded_total", "3", "3"},
+};
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+/// The JSON text a row of `scope` lives in: operator `op`'s (or its
+/// bottleneck entry's) object, a nested block, or the whole line for the
+/// top-level rows.  Empty when the object is missing.
+std::string scope_text(const std::string& json, MetricScope scope, const std::string& op) {
+  std::string anchor;
+  switch (scope) {
+    case MetricScope::kTop: return json;
+    case MetricScope::kOp: anchor = "{\"name\":\"" + op + "\""; break;
+    case MetricScope::kBottleneck: anchor = "{\"op\":\"" + op + "\""; break;
+    case MetricScope::kE2e: anchor = "\"e2e\":{"; break;
+    case MetricScope::kCkpt: anchor = "\"ckpt\":{"; break;
+    case MetricScope::kSched: anchor = "\"sched\":{"; break;
+  }
+  const std::size_t begin = json.find(anchor);
+  if (begin == std::string::npos) return {};
+  return json.substr(begin, json.find('}', begin) + 1 - begin);
+}
+
+/// `{tenant="..",op="..",quantile=".."}` over the non-empty parts.
+std::string prom_series(const MetricRow& row, const std::string& tenant,
+                        const std::string& op) {
+  std::string labels;
+  const auto label = [&labels](const char* name, const std::string& value) {
+    if (value.empty()) return;
+    labels += (labels.empty() ? "{" : ",") + std::string(name) + "=\"" + value + "\"";
+  };
+  label("tenant", tenant);
+  label("op", op);
+  label("quantile", row.quantile);
+  return row.family + (labels.empty() ? " " : labels + "} ");
+}
+
+bool has_line_starting(const std::string& text, const std::string& prefix) {
+  return text.rfind(prefix, 0) == 0 || text.find("\n" + prefix) != std::string::npos;
+}
+
+TEST(MetricTable, GoldenSchemaRendersEveryRowOnceWithItsValueInBothSinks) {
+  const MetricsSample s = golden_sample();
+  const MetricsSample prev = golden_prev();
+  const std::vector<std::string> names = {"src", "work"};
+  const std::string json = render_json(s, names, &prev);
+  const std::string prom = render_prometheus(s, names);
+  ASSERT_EQ(std::size(kGolden), metric_rows().size()) << "golden table out of date";
+  for (const MetricRow& row : metric_rows()) {
+    SCOPED_TRACE("row " + row.key + " / " + row.family);
+    const GoldenRow* golden = nullptr;
+    for (const GoldenRow& g : kGolden) {
+      if (g.scope == row.scope && row.key == g.key) golden = &g;
+    }
+    ASSERT_NE(golden, nullptr) << "row missing from the golden schema";
+    EXPECT_EQ(row.family, golden->family);
+    const bool per_op = row.scope == MetricScope::kOp || row.scope == MetricScope::kBottleneck;
+    const std::size_t entry = row.scope == MetricScope::kOp ? 1 : 0;  // "work"
+    ASSERT_TRUE(row.present({s, &prev, entry})) << "the golden sample must fill every row";
+
+    const std::string text = scope_text(json, row.scope, "work");
+    const std::string key = "\"" + row.key + "\":";
+    EXPECT_EQ(count_of(text, key), 1u) << text;
+    const std::string pair = key + golden->json;
+    const std::size_t at = text.find(pair);
+    ASSERT_NE(at, std::string::npos) << pair << " not in " << text;
+    EXPECT_TRUE(text[at + pair.size()] == ',' || text[at + pair.size()] == '}') << text;
+
+    if (row.family.empty()) {
+      EXPECT_TRUE(row.present({s, &prev, entry}) && !row.present({s, nullptr, entry}))
+          << "JSON-only rows are the windowed ones";
+      continue;
+    }
+    EXPECT_EQ(count_of(prom, "# TYPE " + row.family + " "), 1u);
+    EXPECT_EQ(count_of(prom, "# HELP " + row.family + " "), 1u);
+    const std::string series = prom_series(row, "blue", per_op ? "work" : "") + golden->prom;
+    EXPECT_TRUE(has_line_starting(prom, series + "\n")) << series << "\n" << prom;
+  }
+  // The op and bottleneck lists name operators, never index them.
+  EXPECT_NE(json.find("\"bottlenecks\":[{\"op\":\"work\""), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"tenant\":\"blue\""), std::string::npos) << json;
+}
+
+TEST(MetricTable, RowsThePresenceRuleRejectsAppearInNoSink) {
+  // A telemetry-free, unwindowed, untagged sample: no busy/blocked columns,
+  // "src" has no estimate and no latency, "work" an estimate without cv2,
+  // no prediction, no checkpoint, no bottleneck, no end-to-end samples.
+  MetricsSample s;
+  s.counters.at_seconds = 1.0;
+  s.counters.processed = {10, 20};
+  s.counters.emitted = {10, 20};
+  s.counters.queue_depth = {1, 2};
+  s.counters.queue_peak = {3, 4};
+  s.profile.resize(2);
+  s.profile[1].estimated_rate = 50.0;
+  s.latency.per_op = {LatencySummary{}, summary_of(3, 0.001, 0.002, 0.003)};
+  const std::vector<std::string> names = {"src", "work"};
+  const std::string json = render_json(s, names);
+  const std::string prom = render_prometheus(s, names);
+
+  std::vector<std::string> absent;
+  std::vector<std::string> typed;
+  for (const MetricRow& row : metric_rows()) {
+    const bool per_op = row.scope == MetricScope::kOp || row.scope == MetricScope::kBottleneck;
+    const std::size_t entries = row.scope == MetricScope::kOp           ? names.size()
+                                : row.scope == MetricScope::kBottleneck ? s.bottlenecks.size()
+                                                                        : 1;
+    for (std::size_t i = 0; i < entries; ++i) {
+      const std::string op = per_op ? names[i] : "";
+      const std::string text = scope_text(json, row.scope, op);
+      const std::string key = "\"" + row.key + "\":";
+      const bool present = row.present({s, nullptr, i});
+      SCOPED_TRACE("row " + row.key + " op '" + op + "'");
+      EXPECT_EQ(count_of(text, key), present ? 1u : 0u) << text;
+      if (!present) absent.push_back(row.key + "@" + op);
+      if (row.family.empty()) continue;
+      EXPECT_EQ(has_line_starting(prom, prom_series(row, "", op)), present) << prom;
+      if (present) typed.push_back(row.family);
+    }
+  }
+  for (const MetricRow& row : metric_rows()) {
+    if (row.family.empty()) continue;
+    const bool any = std::find(typed.begin(), typed.end(), row.family) != typed.end();
+    EXPECT_EQ(count_of(prom, "# TYPE " + row.family + " "), any ? 1u : 0u) << row.family;
+  }
+  for (const char* expected :
+       {"proc_rate@src", "rho@work", "busy_s@src", "blocked_s@work", "est_rate@src",
+        "cv2@work", "p50_ms@src", "pred_ms@work", "p99_ms@", "pred_mean_ms@", "written@"}) {
+    EXPECT_NE(std::find(absent.begin(), absent.end(), expected), absent.end()) << expected;
+  }
+  EXPECT_EQ(json.find("\"ckpt\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"tenant\""), std::string::npos) << json;
+  EXPECT_EQ(prom.find("tenant="), std::string::npos) << prom;
+  EXPECT_NE(json.find("\"bottlenecks\":[]"), std::string::npos) << json;
+}
+
+TEST(MetricTable, EngineSamplesCarryTheConfiguredTenant) {
+  EngineConfig config;
+  config.tenant = "blue";
+  Engine engine(pipeline(1e-3, 1e-4), Deployment{}, synthetic_factory(), config);
+  EXPECT_EQ(engine.metrics_sample().tenant, "blue");  // so both sinks tag it
+}
+
+TEST(JsonEscape, OperatorNamesRenderAlikeInEverySink) {
+  const std::string name = std::string("a\"b\\c") + '\x01';
+  const std::string escaped = "\"a\\\"b\\\\c\\u0001\"";
+  const std::vector<std::string> names = {name, "work"};
+
+  const std::string path = "telemetry_test_escape.jsonl";
+  {
+    MetricsExporter exporter([] { return synthetic_sample(1); }, names, path, 60.0);
+    exporter.start();
+    exporter.stop();  // writes the final sample
+  }
+  const std::string jsonl = slurp(path);
+  std::remove(path.c_str());
+  EXPECT_NE(jsonl.find("\"name\":" + escaped), std::string::npos) << jsonl;
+
+  const std::string stats_json = render_json(synthetic_sample(1), names);  // /stats.json
+  EXPECT_NE(stats_json.find("\"name\":" + escaped), std::string::npos) << stats_json;
+
+  trace::Tracer& tracer = trace::Tracer::instance();
+  ASSERT_TRUE(tracer.start());
+  std::thread named([&name] {
+    trace::Tracer::instance().set_thread_name(name);
+    trace::instant("escape", "test");
+  });
+  named.join();
+  const std::string trace_path = "telemetry_test_escape_trace.json";
+  tracer.stop_and_flush(trace_path);
+  const std::string trace_json = slurp(trace_path);
+  std::remove(trace_path.c_str());
+  EXPECT_NE(trace_json.find("\"name\":" + escaped), std::string::npos) << trace_json;
 }
 
 }  // namespace
