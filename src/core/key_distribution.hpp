@@ -15,16 +15,21 @@
 namespace ss {
 
 /// Discrete probability distribution over the key domain of a
-/// partitioned-stateful operator.  Frequencies are normalized on
-/// construction; keys are identified by their index.
+/// partitioned-stateful operator; keys are identified by their index.
 ///
-/// A distribution remembers the law it came from (its shape): `uniform()`
-/// and `zipf()` record theirs, so the XML writer and the code generator can
-/// emit the two-parameter law instead of every probability, and reloading it
-/// rebuilds the same table bit for bit.  The normalized probabilities live
-/// in one immutable table shared by every copy, so copying a distribution
-/// (and the OperatorSpec or Topology holding it) is O(1).  No
-/// member ever mutates the table after construction.
+/// A distribution is its law: the shape, the key count and (for Zipf) the
+/// exponent, held in one immutable object shared by every copy, so copying
+/// a distribution (and the OperatorSpec or Topology holding it) is O(1).
+/// `uniform()` and `zipf()` record only the law; the normalized table is
+/// built on first use of probabilities(), probability(), max_probability()
+/// or cumulative() (once, thread-safely, shared by every copy).  Key
+/// frequencies matter only where Alg. 2's KeyPartitioning() splits an
+/// operator over replicas, so a topology whose keyed operators run
+/// unreplicated never builds one.  The law alone answers num_keys(),
+/// empty(), shape() and alpha(), so the XML writer and the code generator
+/// emit the two-parameter law, and reloading it rebuilds the same table bit
+/// for bit.  An explicit frequency list is normalized (and validated) on
+/// construction.
 class KeyDistribution {
  public:
   /// The law a distribution was built from.
@@ -45,31 +50,37 @@ class KeyDistribution {
   /// The paper generates key skew this way (§5.3).
   static KeyDistribution zipf(std::size_t num_keys, double alpha);
 
-  [[nodiscard]] Shape shape() const { return shape_; }
+  [[nodiscard]] Shape shape() const;
   /// Zipf exponent; 0 unless shape() is kZipf.
-  [[nodiscard]] double alpha() const { return alpha_; }
+  [[nodiscard]] double alpha() const;
 
-  [[nodiscard]] std::size_t num_keys() const { return probabilities().size(); }
-  [[nodiscard]] bool empty() const { return probabilities().empty(); }
+  [[nodiscard]] std::size_t num_keys() const;
+  [[nodiscard]] bool empty() const { return num_keys() == 0; }
 
   /// Normalized frequency of key `k`.
   [[nodiscard]] double probability(std::size_t k) const { return probabilities().at(k); }
 
-  [[nodiscard]] const std::vector<double>& probabilities() const {
-    static const std::vector<double> kNone;
-    return probabilities_ ? *probabilities_ : kNone;
-  }
+  /// The normalized table (built on first use).
+  [[nodiscard]] const std::vector<double>& probabilities() const;
+
+  /// Running sums of probabilities() with the last entry pinned to 1.0:
+  /// the inverse-CDF table a key draw searches with lower_bound (built on
+  /// first use).
+  [[nodiscard]] const std::vector<double>& cumulative() const;
 
   /// Largest single-key frequency; a lower bound on p_max for any
   /// partitioning into replicas.
   [[nodiscard]] double max_probability() const;
 
- private:
-  KeyDistribution(std::vector<double> frequencies, Shape shape, double alpha);
+  /// Whether the normalized table exists yet (always, for an explicit
+  /// list).  Read-only: tests use it to show a set-up path built none.
+  [[nodiscard]] bool materialized() const;
 
-  std::shared_ptr<const std::vector<double>> probabilities_;
-  Shape shape_ = Shape::kExplicit;
-  double alpha_ = 0.0;
+ private:
+  struct Law;
+  explicit KeyDistribution(std::shared_ptr<const Law> law);
+
+  std::shared_ptr<const Law> law_;
 };
 
 }  // namespace ss

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/key_distribution.hpp"
-
 namespace ss {
 
 std::vector<double> zipf_probabilities(std::size_t n, double alpha) {
@@ -11,20 +9,13 @@ std::vector<double> zipf_probabilities(std::size_t n, double alpha) {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double alpha)
-    : probabilities_(zipf_probabilities(n, alpha)), cdf_(n) {
-  double running = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    running += probabilities_[k];
-    cdf_[k] = running;
-  }
-  cdf_.back() = 1.0;  // guard against floating-point undershoot
-}
+    : law_(KeyDistribution::zipf(n, alpha)), cdf_(&law_.cumulative()) {}
 
 std::size_t ZipfSampler::sample(Rng& rng) const {
   const double u = rng.next_double();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) --it;
-  return static_cast<std::size_t>(it - cdf_.begin());
+  auto it = std::lower_bound(cdf_->begin(), cdf_->end(), u);
+  if (it == cdf_->end()) --it;
+  return static_cast<std::size_t>(it - cdf_->begin());
 }
 
 std::vector<double> shuffled_zipf_probabilities(std::size_t n, double alpha, Rng& rng) {

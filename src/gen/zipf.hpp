@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/key_distribution.hpp"
 #include "gen/rng.hpp"
 
 namespace ss {
@@ -16,18 +17,18 @@ namespace ss {
 /// the table of KeyDistribution::zipf(n, alpha).
 std::vector<double> zipf_probabilities(std::size_t n, double alpha);
 
-/// Draws one rank in [0, n) from a Zipf law (inverse-CDF on the normalized
-/// vector; O(n) setup in the sampler, O(log n) per draw).
+/// Draws one rank in [0, n) from a Zipf law (inverse-CDF on the law's
+/// cumulative table, built in the constructor; O(log n) per draw).
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
 
   [[nodiscard]] std::size_t sample(Rng& rng) const;
-  [[nodiscard]] const std::vector<double>& probabilities() const { return probabilities_; }
+  [[nodiscard]] const std::vector<double>& probabilities() const { return law_.probabilities(); }
 
  private:
-  std::vector<double> probabilities_;
-  std::vector<double> cdf_;
+  KeyDistribution law_;
+  const std::vector<double>* cdf_;  ///< law_.cumulative(), shared by copies
 };
 
 /// Returns a shuffled Zipf probability vector: ranks are randomly permuted

@@ -147,7 +147,7 @@ struct Engine::ActorState {
   ReplicaSelector selector;                // emitter
   std::vector<int> replica_targets;        // emitter
   int collector_actor = -1;                // replica
-  std::vector<double> key_cdf;             // emitter of partitioned op
+  const std::vector<double>* key_cdf = nullptr;  // emitter of partitioned op
   // --- order-preserving collection (EngineConfig::preserve_replica_order)
   std::int64_t next_seq = 0;               // emitter: stamp for the next input
   std::int64_t current_seq = -1;           // replica: seq of the input in flight
@@ -285,8 +285,7 @@ Engine::Engine(const Topology& t, Deployment deployment, AppFactory factory,
     deployment = config_.recover_from->deployment;
   }
 
-  ActorGraph graph = ActorGraph::build(t, deployment);
-  epoch_ = build_epoch(std::move(deployment), std::move(graph), nullptr, nullptr);
+  epoch_ = build_epoch(prepare_epoch(std::move(deployment)), nullptr, nullptr);
   predicted_ = make_predictions(topology_, epoch_->deployment, config_.mailbox_capacity);
   if (config_.recover_from != nullptr) apply_recovery(*config_.recover_from);
 }
@@ -300,7 +299,7 @@ Engine::~Engine() {
 // --------------------------------------------------------------- epoch build
 
 void Engine::init_actor_logic(ActorState& state, const ActorSpec& spec,
-                              const Deployment& deployment) {
+                              const EpochState& epoch) {
   const OperatorSpec& op = topology_.op(spec.op);
   switch (spec.kind) {
     case ActorKind::kSource:
@@ -314,24 +313,8 @@ void Engine::init_actor_logic(ActorState& state, const ActorSpec& spec,
       state.replica_targets = spec.downstream;  // exactly the replica ids
       const int n = static_cast<int>(state.replica_targets.size());
       if (op.state == StateKind::kPartitionedStateful) {
-        KeyPartition partition;
-        if (spec.op < deployment.partitions.size() &&
-            !deployment.partitions[spec.op].replica_of_key.empty()) {
-          partition = deployment.partitions[spec.op];
-        } else {
-          partition = partition_keys(op.keys, n);
-        }
-        require(partition.replicas == n,
-                "Engine: partition map of '" + op.name + "' disagrees with replica count");
-        state.selector = ReplicaSelector::by_key(std::move(partition));
-        if (config_.assign_keys_at_emitter) {
-          double running = 0.0;
-          for (std::size_t k = 0; k < op.keys.num_keys(); ++k) {
-            running += op.keys.probability(k);
-            state.key_cdf.push_back(running);
-          }
-          if (!state.key_cdf.empty()) state.key_cdf.back() = 1.0;
-        }
+        state.selector = ReplicaSelector::by_key(epoch.partitions[spec.op]);
+        if (config_.assign_keys_at_emitter) state.key_cdf = &op.keys.cumulative();
       } else {
         state.selector = ReplicaSelector::round_robin(n);
       }
@@ -353,13 +336,32 @@ void Engine::init_actor_logic(ActorState& state, const ActorSpec& spec,
   if (spec.kind == ActorKind::kReplica) state.collector_actor = spec.downstream.front();
 }
 
-std::unique_ptr<Engine::EpochState> Engine::build_epoch(Deployment deployment,
-                                                        ActorGraph graph, EpochState* prev,
-                                                        const DeploymentDiff* diff) {
+std::unique_ptr<Engine::EpochState> Engine::prepare_epoch(Deployment deployment) const {
   auto epoch = std::make_unique<EpochState>();
+  epoch->graph = ActorGraph::build(topology_, deployment);
+  epoch->partitions.resize(topology_.num_operators());
+  for (OpIndex op = 0; op < topology_.num_operators(); ++op) {
+    const OperatorSpec& spec = topology_.op(op);
+    const int replicas = deployment.replication.replicas_of(op);
+    if (spec.state != StateKind::kPartitionedStateful || replicas <= 1) continue;
+    KeyPartition& partition = epoch->partitions[op];
+    if (op < deployment.partitions.size() &&
+        !deployment.partitions[op].replica_of_key.empty()) {
+      partition = deployment.partitions[op];
+    } else {
+      partition = partition_keys(spec.keys, replicas);
+    }
+    require(partition.replicas == replicas,
+            "Engine: partition map of '" + spec.name + "' disagrees with replica count");
+    if (config_.assign_keys_at_emitter) (void)spec.keys.cumulative();
+  }
   epoch->deployment = std::move(deployment);
-  epoch->graph = std::move(graph);
+  return epoch;
+}
 
+std::unique_ptr<Engine::EpochState> Engine::build_epoch(std::unique_ptr<EpochState> epoch,
+                                                        EpochState* prev,
+                                                        const DeploymentDiff* diff) {
   // Actors of operators the diff leaves untouched carry over whole from the
   // quiesced previous epoch: mailbox contents, logic state, rng, counters.
   // Identity is (operator, role, replica) — actor *ids* shift between
@@ -397,7 +399,7 @@ std::unique_ptr<Engine::EpochState> Engine::build_epoch(Deployment deployment,
     auto state = std::make_unique<ActorState>(spec, config_.mailbox_capacity, config_.overflow,
                                               config_.mailbox, master_rng_.split());
     state->mailbox.set_owner_op(spec.op);  // blocked-edge attribution
-    init_actor_logic(*state, spec, epoch->deployment);
+    init_actor_logic(*state, spec, *epoch);
     epoch->actors.push_back(std::move(state));
   }
   if (prev != nullptr && diff != nullptr) migrate_state(*epoch, *prev, *diff);
@@ -450,15 +452,7 @@ void Engine::migrate_state(EpochState& next, EpochState& prev, const DeploymentD
 
     // Key -> replica exactly as the new emitter's ReplicaSelector maps it
     // (routing.cpp), so migrated state lands where the data will go.
-    KeyPartition partition;
-    if (owners.size() > 1) {
-      if (op < next.deployment.partitions.size() &&
-          !next.deployment.partitions[op].replica_of_key.empty()) {
-        partition = next.deployment.partitions[op];
-      } else {
-        partition = partition_keys(spec.keys, static_cast<int>(owners.size()));
-      }
-    }
+    const KeyPartition& partition = next.partitions[op];
 
     for (OperatorLogic* old_logic : old_logics) {
       for (const std::int64_t key : old_logic->owned_keys()) {
@@ -809,14 +803,15 @@ void Engine::process_message(std::size_t id, Message& msg) {
       // No busy timing: routing is overhead, not service.
       std::optional<ScopedActorContext> ctx;
       if (meter) ctx.emplace(telemetry_, op);
-      if (!st.key_cdf.empty()) {
+      if (st.key_cdf != nullptr) {
         // Synthetic mode: draw the key this item carries from the
         // operator's key distribution so replica loads realize the exact
         // shares the cost model assumed.
+        const std::vector<double>& cdf = *st.key_cdf;
         const double u = st.rng.next_double();
-        auto it = std::lower_bound(st.key_cdf.begin(), st.key_cdf.end(), u);
-        if (it == st.key_cdf.end()) --it;
-        msg.tuple.key = static_cast<std::int64_t>(it - st.key_cdf.begin());
+        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        if (it == cdf.end()) --it;
+        msg.tuple.key = static_cast<std::int64_t>(it - cdf.begin());
       }
       if (config_.preserve_replica_order) msg.seq = st.next_seq++;
       const int r = st.selector.select(msg.tuple.key, st.rng);
@@ -1006,9 +1001,10 @@ bool Engine::reconfigure(const Deployment& next) {
   // Tag the fence/epoch spans this switch-over records with the tenant,
   // whichever thread drives it (per-engine controller or a joint one).
   if (tenant_tag_ != nullptr) trace::set_thread_tenant(tenant_tag_);
-  // Validate before disturbing the run: a malformed deployment throws here,
-  // leaving the current epoch untouched.
-  ActorGraph next_graph = ActorGraph::build(topology_, next);
+  // Validate and partition before disturbing the run: a malformed
+  // deployment throws here, leaving the current epoch untouched, and the
+  // key maps are ready before the fence pauses the graph.
+  std::unique_ptr<EpochState> fresh = prepare_epoch(next);
 
   std::unique_lock epoch_lock(epoch_mutex_);
   if (!started_.load(std::memory_order_acquire) || stop_.load() ||
@@ -1056,8 +1052,7 @@ bool Engine::reconfigure(const Deployment& next) {
       stop_.load() || source_finished_.load(std::memory_order_acquire);
   if (!aborted) {
     trace::Span swap_span("epoch_swap", "fence");
-    std::unique_ptr<EpochState> fresh =
-        build_epoch(next, std::move(next_graph), epoch_.get(), &diff);
+    fresh = build_epoch(std::move(fresh), epoch_.get(), &diff);
     // Actors being replaced die with the old epoch; fold their drop counts
     // — and their telemetry: queue high-water marks and the retiring
     // scheduler's counters — into the final accounting (reused actors keep

@@ -258,6 +258,10 @@ class Engine final : public EngineCore {
   /// (carrying unchanged actors over, migrating key state) and swaps.
   struct EpochState {
     Deployment deployment;
+    /// The key map every replicated partitioned-stateful operator routes
+    /// and migrates by (indexed by operator, empty for the others): the
+    /// deployment's own, or partition_keys' when it leaves one to derive.
+    std::vector<KeyPartition> partitions;
     ActorGraph graph;
     std::vector<std::unique_ptr<ActorState>> actors;
     std::unique_ptr<Scheduler> scheduler;
@@ -273,15 +277,19 @@ class Engine final : public EngineCore {
   void report_failure(std::size_t id, const std::string& what) override;
   void actor_done(std::size_t id) override;
 
-  /// Instantiates `deployment` as a new epoch.  `prev` (when non-null) is
-  /// the quiesced previous epoch: actors of operators unchanged per `diff`
-  /// are moved over whole, changed partitioned-stateful operators get
-  /// fresh logic with per-key state migrated in.
-  std::unique_ptr<EpochState> build_epoch(Deployment deployment, ActorGraph graph,
-                                          EpochState* prev, const DeploymentDiff* diff);
+  /// The actor-less epoch of `deployment`: its actor graph (validating
+  /// it: a malformed deployment throws) and its key maps, with the key
+  /// tables the emitters read built.  Runs before a fence is armed, so no
+  /// partitioning and no first table build lands in the pause.
+  std::unique_ptr<EpochState> prepare_epoch(Deployment deployment) const;
+  /// Instantiates the actors of a prepared epoch.  `prev` (when non-null)
+  /// is the quiesced previous epoch: actors of operators unchanged per
+  /// `diff` are moved over whole, changed partitioned-stateful operators
+  /// get fresh logic with per-key state migrated in.
+  std::unique_ptr<EpochState> build_epoch(std::unique_ptr<EpochState> epoch, EpochState* prev,
+                                          const DeploymentDiff* diff);
   /// Instantiates fresh logic (and emitter routing state) for one actor.
-  void init_actor_logic(ActorState& state, const ActorSpec& spec,
-                        const Deployment& deployment);
+  void init_actor_logic(ActorState& state, const ActorSpec& spec, const EpochState& epoch);
   /// Moves per-key state of changed partitioned operators from `prev` into
   /// the new epoch's logic instances.
   void migrate_state(EpochState& next, EpochState& prev, const DeploymentDiff& diff);

@@ -65,12 +65,13 @@ std::vector<double> parse_frequencies(std::string_view list, const std::string& 
   }
 }
 
-/// Largest key space a `<keys count>` may declare: 10^8 keys are an 800 MB
-/// table.
+/// Largest key space a `<keys count>` may declare: the table of 10^8 keys,
+/// built on first partition (never on import), is 800 MB.
 constexpr std::size_t kMaxKeyCount = 100'000'000;
 
-/// A generated law, (distribution, count, alpha), and the table built for it:
-/// operators of one document that declare the same law share one table.
+/// A generated law, (distribution, count, alpha), and the distribution made
+/// for it: operators of one document that declare the same law share one
+/// law object, so at most one table is ever built for them.
 using LawTables = std::map<std::tuple<std::string, std::size_t, double>, KeyDistribution>;
 
 KeyDistribution parse_keys(const XmlNode& keys, const std::string& op_name, LawTables& tables) {

@@ -1,16 +1,20 @@
 // Unit tests for Algorithm 2 (bottleneck elimination): optimal replication
 // degrees, key-partitioning limits, stateful fallbacks, and the hold-off
-// replication budget of §3.2; plus the KeyDistribution laws and shared
-// tables the partitioning reads.
+// replication budget of §3.2; plus the KeyDistribution laws and the shared
+// tables the partitioning reads, built on first use.
 #include "core/bottleneck.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -154,6 +158,93 @@ TEST(KeyDistribution, CopiesShareOneTable) {
   const KeyDistribution again = KeyDistribution::zipf(1000, 0.8);
   EXPECT_NE(&again.probabilities(), &keys.probabilities());
   EXPECT_EQ(again.probabilities(), keys.probabilities());
+}
+
+/// Today's eager table: the law's frequencies divided by their sum, in
+/// index order.
+std::vector<double> eager_table(std::vector<double> freq) {
+  double total = 0.0;
+  for (double f : freq) total += f;
+  for (double& f : freq) f /= total;
+  return freq;
+}
+
+/// Byte equality: no -0.0 == 0.0 or NaN escape.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(KeyDistribution, LazyTablesMatchTheEagerFormulaBitForBit) {
+  for (const double alpha : {0.5, 0.8, 1.5, 3.0}) {
+    SCOPED_TRACE("alpha " + std::to_string(alpha));
+    constexpr std::size_t kKeys = 50000;
+    const KeyDistribution zipf = KeyDistribution::zipf(kKeys, alpha);
+    EXPECT_FALSE(zipf.materialized());
+    std::vector<double> freq(kKeys);
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      freq[k] = 1.0 / std::pow(static_cast<double>(k + 1), alpha);
+    }
+    const std::vector<double> want = eager_table(std::move(freq));
+    EXPECT_TRUE(same_bits(zipf.probabilities(), want));
+    EXPECT_TRUE(zipf.materialized());
+    // The emitter's inverse-CDF: running sums, the last one pinned to 1.
+    std::vector<double> cdf;
+    double running = 0.0;
+    for (double p : want) cdf.push_back(running += p);
+    cdf.back() = 1.0;
+    EXPECT_TRUE(same_bits(zipf.cumulative(), cdf));
+  }
+  for (const std::size_t n : {1u, 3u, 1000u, 99991u}) {
+    const KeyDistribution uniform = KeyDistribution::uniform(n);
+    EXPECT_FALSE(uniform.materialized());
+    EXPECT_TRUE(same_bits(uniform.probabilities(), eager_table(std::vector<double>(n, 1.0))))
+        << n;
+  }
+  // An explicit list is normalized (and validated) on construction.
+  EXPECT_TRUE(KeyDistribution({1.0, 3.0}).materialized());
+  EXPECT_THROW((void)KeyDistribution({1.0, -1.0}), Error);
+  EXPECT_THROW((void)KeyDistribution(std::vector<double>{}), Error);
+  EXPECT_THROW((void)KeyDistribution({0.0, 0.0}), Error);
+}
+
+TEST(KeyDistribution, LawAloneAnswersSizeShapeAndAlpha) {
+  const KeyDistribution keys = KeyDistribution::zipf(100000000, 0.8);
+  EXPECT_EQ(keys.num_keys(), 100000000u);
+  EXPECT_FALSE(keys.empty());
+  EXPECT_EQ(keys.shape(), KeyDistribution::Shape::kZipf);
+  EXPECT_EQ(keys.alpha(), 0.8);
+  EXPECT_FALSE(keys.materialized());
+  const KeyDistribution uniform = KeyDistribution::uniform(7);
+  EXPECT_EQ(partition_keys(uniform, 1).replica_of_key.size(), 7u);
+  EXPECT_TRUE(uniform.materialized());
+}
+
+// The KeyDistributionTsan.* subset runs under ThreadSanitizer in CI (see
+// .github/workflows/ci.yml).
+TEST(KeyDistributionTsan, RacingFirstUsesBuildOneTable) {
+  constexpr int kThreads = 8;
+  const KeyDistribution keys = KeyDistribution::zipf(200000, 0.9);
+  std::vector<const double*> tables(kThreads, nullptr);
+  std::vector<const double*> cdfs(kThreads, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i, copy = keys] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      tables[static_cast<std::size_t>(i)] = copy.probabilities().data();
+      cdfs[static_cast<std::size_t>(i)] = copy.cumulative().data();
+      EXPECT_EQ(copy.probabilities()[0], keys.max_probability());
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(tables[static_cast<std::size_t>(i)], tables[0]) << i;
+    EXPECT_EQ(cdfs[static_cast<std::size_t>(i)], cdfs[0]) << i;
+  }
+  EXPECT_EQ(tables[0], keys.probabilities().data());
+  EXPECT_EQ(keys.probabilities().size(), 200000u);
+  EXPECT_EQ(keys.cumulative().back(), 1.0);
 }
 
 // ------------------------------------------------------------ Algorithm 2

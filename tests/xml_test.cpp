@@ -2,19 +2,31 @@
 // comments, error reporting with line numbers) and the topology description
 // format (number parsing, rejection of malformed key lists, key counts and
 // non-finite attributes, a bit-exact save/load differential on the Alg. 5
-// testbed, key laws saved as their parameters and shared on load).
+// testbed, key laws saved as their parameters and shared on load), and the
+// laziness of a loaded law: set-up of an unreplicated keyed topology builds
+// no key table, and a replicated one routes by the partition computed
+// before the fence.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/key_partitioning.hpp"
+#include "core/optimizer.hpp"
 #include "gen/workload.hpp"
+#include "runtime/engine.hpp"
 #include "xmlio/topology_xml.hpp"
 #include "xmlio/xml.hpp"
 
@@ -458,6 +470,151 @@ TEST(TopologyXml, FileRoundTrip) {
   Topology reloaded = load_topology_file(path);
   EXPECT_EQ(reloaded.num_operators(), original.num_operators());
   EXPECT_THROW((void)load_topology_file("/nonexistent/nope.xml"), Error);
+}
+
+// ------------------------------------------------------ key laws on demand
+
+/// source -> running_sum -> counter -> sink over `keys` (a <keys> element),
+/// the shape of the keyed control workload; the keyed operators are far
+/// below saturation, so auto_optimize leaves them unreplicated.
+std::string keyed_document(const std::string& keys) {
+  return "<topology><operator name=\"source\" service-time=\"2e-5\"/>"
+         "<operator name=\"running_sum\" service-time=\"2e-6\" state=\"partitioned\">" +
+         keys +
+         "</operator>"
+         "<operator name=\"counter\" service-time=\"2e-6\" state=\"partitioned\">" +
+         keys +
+         "</operator>"
+         "<operator name=\"sink\" service-time=\"1e-6\"/>"
+         "<edge from=\"source\" to=\"running_sum\"/><edge from=\"running_sum\" "
+         "to=\"counter\"/><edge from=\"counter\" to=\"sink\"/></topology>";
+}
+
+TEST(KeyLaws, UnreplicatedSetUpBuildsNoTable) {
+  for (const bool fusion : {false, true}) {
+    SCOPED_TRACE(fusion ? "fusion on" : "fusion off");
+    const Topology t = load_topology(
+        keyed_document("<keys distribution=\"zipf\" count=\"100000\" alpha=\"0.8\"/>"));
+    AutoOptimizeOptions options;
+    options.enable_fusion = fusion;
+    const AutoOptimizeResult opt = auto_optimize(t, options);
+    ASSERT_EQ(opt.plan.replicas_of(1), 1);
+    ASSERT_EQ(opt.plan.replicas_of(2), 1);
+    const runtime::Engine engine(t, deployment_of(opt), runtime::synthetic_factory(0.0, 1),
+                                 runtime::EngineConfig{});
+    for (const OpIndex i : {OpIndex{1}, OpIndex{2}}) {
+      EXPECT_EQ(t.op(i).keys.num_keys(), 100000u);
+      EXPECT_FALSE(t.op(i).keys.materialized()) << t.op(i).name;
+    }
+  }
+}
+
+TEST(KeyLaws, HundredMillionKeyLawRoundTripsWithoutItsTable) {
+  const Topology t = load_topology(
+      keyed_document("<keys count=\"100000000\" distribution=\"zipf\" alpha=\"0.8\"/>"));
+  const std::string saved = save_topology(t, "big");
+  const Topology again = load_topology(saved);
+  for (const Topology* topo : {&t, &again}) {
+    const KeyDistribution& keys = topo->op(1).keys;
+    EXPECT_EQ(keys.num_keys(), 100000000u);
+    EXPECT_EQ(keys.shape(), KeyDistribution::Shape::kZipf);
+    EXPECT_EQ(keys.alpha(), 0.8);
+    EXPECT_FALSE(keys.materialized());
+  }
+  EXPECT_NE(saved.find("count=\"100000000\""), std::string::npos) << saved;
+  EXPECT_EQ(saved.find("values="), std::string::npos);
+  EXPECT_LT(saved.size(), 2048u);
+}
+
+/// Paced source: `count` items, keys drawn by the emitter.
+class PacedSource final : public runtime::SourceLogic {
+ public:
+  explicit PacedSource(std::int64_t count) : count_(count) {}
+  bool next(runtime::Tuple& out) override {
+    if (next_id_ >= count_) return false;
+    {
+      runtime::BlockingSection blocking;
+      waiter_.wait(50e-6);
+    }
+    out = runtime::Tuple{};
+    out.id = next_id_++;
+    return true;
+  }
+
+ private:
+  std::int64_t count_;
+  runtime::PacedWaiter waiter_;
+  std::int64_t next_id_ = 0;
+};
+
+/// Forwards every item, recording the keys each instance saw.
+class KeyRecorder final : public runtime::OperatorLogic {
+ public:
+  using Seen = std::map<const KeyRecorder*, std::set<std::int64_t>>;
+  KeyRecorder(std::mutex& mu, Seen& seen) : mu_(mu), seen_(seen) {}
+  void process(const runtime::Tuple& item, OpIndex, runtime::Collector& out) override {
+    {
+      std::lock_guard lock(mu_);
+      seen_[this].insert(item.key);
+    }
+    out.emit(item);
+  }
+  [[nodiscard]] std::unique_ptr<runtime::OperatorLogic> clone() const override {
+    return std::make_unique<KeyRecorder>(mu_, seen_);
+  }
+
+ private:
+  std::mutex& mu_;
+  Seen& seen_;
+};
+
+TEST(KeyLaws, EmitterRoutesByThePartitionComputedBeforeTheFence) {
+  const Topology t = load_topology(keyed_document(
+      "<keys distribution=\"zipf\" count=\"1000\" alpha=\"0.8\"/>"));
+  const KeyPartition want = partition_keys(t.op(1).keys, 2);
+  ASSERT_EQ(want.replicas, 2);
+
+  std::mutex mu;
+  KeyRecorder::Seen seen;
+  std::vector<const KeyRecorder*> sum_logics;  // in creation order
+  runtime::AppFactory factory;
+  factory.source = [](OpIndex, const OperatorSpec&) {
+    return std::make_unique<PacedSource>(4000);
+  };
+  factory.logic = [&](OpIndex op,
+                      const OperatorSpec&) -> std::unique_ptr<runtime::OperatorLogic> {
+    auto logic = std::make_unique<KeyRecorder>(mu, seen);
+    if (op == 1) sum_logics.push_back(logic.get());
+    return logic;
+  };
+  runtime::Engine engine(t, Deployment{}, std::move(factory), runtime::EngineConfig{});
+
+  runtime::RunStats stats;
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    stats = engine.run_until_complete(std::chrono::duration<double>(60.0));
+    done.store(true, std::memory_order_release);
+  });
+  Deployment widened;
+  widened.replication.replicas = {1, 2, 1, 1};
+  bool switched = false;
+  while (!switched && !done.load(std::memory_order_acquire)) {
+    switched = engine.reconfigure(widened);
+    if (!switched) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  runner.join();
+  ASSERT_TRUE(switched);
+  EXPECT_EQ(stats.dropped, 0u);
+
+  // The worker, then replicas 0 and 1 of the new epoch.
+  ASSERT_EQ(sum_logics.size(), 3u);
+  for (int r = 0; r < 2; ++r) {
+    const std::set<std::int64_t>& keys = seen[sum_logics[static_cast<std::size_t>(r) + 1]];
+    EXPECT_FALSE(keys.empty()) << "replica " << r;
+    for (const std::int64_t key : keys) {
+      EXPECT_EQ(want.replica_of_key.at(static_cast<std::size_t>(key)), r) << "key " << key;
+    }
+  }
 }
 
 }  // namespace
