@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ss {
 
@@ -25,6 +26,21 @@ inline void require(bool condition, const std::string& message) {
 /// Literal-message overload: a passing check builds no string.
 inline void require(bool condition, const char* message) {
   if (!condition) throw Error(message);
+}
+
+/// Multi-part overload: `require(ok, "operator '", name, "' ...")` throws
+/// the parts joined in order, and joins them only when the check fails, so
+/// a passing check allocates nothing.  Parts are anything a string_view
+/// binds to (literals, std::string, string_view); a part that must itself
+/// be computed (a number formatted with std::to_string, say) belongs behind
+/// an explicit `if (!ok)` instead, or it is computed on every call.
+template <typename... Parts>
+  requires(sizeof...(Parts) >= 2)
+inline void require(bool condition, const Parts&... parts) {
+  if (condition) [[likely]] return;
+  std::string message;
+  (message.append(std::string_view(parts)), ...);
+  throw Error(std::move(message));
 }
 
 }  // namespace ss

@@ -94,7 +94,7 @@ std::string analyze_subgraph(const Topology& t, const FusionSpec& spec, Subgraph
 Subgraph require_legal(const Topology& t, const FusionSpec& spec) {
   Subgraph sub;
   std::string why = analyze_subgraph(t, spec, sub);
-  require(why.empty(), "illegal fusion: " + why);
+  require(why.empty(), "illegal fusion: ", why);
   return sub;
 }
 
@@ -232,7 +232,7 @@ std::string analyze_subgraph_multi(const Topology& t, const FusionSpec& spec,
 MultiSubgraph require_legal_multi(const Topology& t, const FusionSpec& spec) {
   MultiSubgraph sub;
   const std::string why = analyze_subgraph_multi(t, spec, sub);
-  require(why.empty(), "illegal multi-entry fusion: " + why);
+  require(why.empty(), "illegal multi-entry fusion: ", why);
   return sub;
 }
 

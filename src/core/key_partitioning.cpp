@@ -1,6 +1,7 @@
 #include "core/key_partitioning.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "core/error.hpp"
@@ -15,27 +16,31 @@ KeyPartition partition_keys(const KeyDistribution& keys, int requested_replicas)
   const int bins = static_cast<int>(
       std::min<std::size_t>(static_cast<std::size_t>(requested_replicas), num_keys));
 
-  // Greedy LPT: heaviest key first onto the least-loaded bin.  Keys already
-  // in that order (every Zipf and uniform law) skip the sort: with the
-  // index tie-break the order is total, so the result is the same.
+  // Greedy LPT: heaviest key first onto the least-loaded bin, ties broken
+  // by the lower index.  When the probabilities are non-increasing (every
+  // Zipf and uniform law) that order is 0..n-1 itself, so the keys are
+  // walked directly; any other table (an explicit law) is sorted through
+  // an index vector.
   const std::vector<double>& p = keys.probabilities();
-  const auto heavier = [&](std::size_t a, std::size_t b) {
-    if (p[a] != p[b]) return p[a] > p[b];
-    return a < b;  // deterministic tie-break
-  };
-  std::vector<std::size_t> by_weight(num_keys);
-  std::iota(by_weight.begin(), by_weight.end(), 0);
-  if (!std::is_sorted(by_weight.begin(), by_weight.end(), heavier)) {
-    std::sort(by_weight.begin(), by_weight.end(), heavier);
-  }
-
   std::vector<double> load(static_cast<std::size_t>(bins), 0.0);
   KeyPartition result;
   result.replica_of_key.assign(num_keys, 0);
-  for (std::size_t k : by_weight) {
+  const auto place = [&](std::size_t k) {
     auto lightest = std::min_element(load.begin(), load.end());
     *lightest += p[k];
     result.replica_of_key[k] = static_cast<int>(lightest - load.begin());
+  };
+  if (std::is_sorted(p.begin(), p.end(), std::greater<>())) {
+    for (std::size_t k = 0; k < num_keys; ++k) place(k);
+  } else {
+    const auto heavier = [&](std::size_t a, std::size_t b) {
+      if (p[a] != p[b]) return p[a] > p[b];
+      return a < b;  // deterministic tie-break
+    };
+    std::vector<std::size_t> by_weight(num_keys);
+    std::iota(by_weight.begin(), by_weight.end(), 0);
+    std::sort(by_weight.begin(), by_weight.end(), heavier);
+    for (std::size_t k : by_weight) place(k);
   }
 
   // Drop replicas that received no key (can happen with very skewed

@@ -114,12 +114,7 @@ double mixture_quantile(const std::vector<Cluster>& cs, double q) {
   }
   if (hi <= 0.0) return 0.0;
   for (int guard = 0; mixture_cdf(cs, hi) < q && guard < 64; ++guard) hi *= 2.0;
-  double lo = 0.0;
-  for (int it = 0; it < 80; ++it) {
-    const double mid = 0.5 * (lo + hi);
-    (mixture_cdf(cs, mid) < q ? lo : hi) = mid;
-  }
-  return 0.5 * (lo + hi);
+  return detail::bisect_quantile([&cs](double x) { return mixture_cdf(cs, x); }, q, 0.0, hi);
 }
 }  // namespace
 

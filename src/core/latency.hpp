@@ -73,6 +73,24 @@ double latency_quantile(double mean, double variance, double q);
 /// p50/p95/p99 of a moment-matched gamma distribution.
 LatencyPercentiles latency_percentiles(double mean, double variance);
 
+namespace detail {
+/// The bisection behind the mixture percentiles: the point where the
+/// monotone `cdf` reaches `q` inside the bracket [lo, hi], halved at most
+/// 80 times.  It stops as soon as the midpoint equals an end of the
+/// bracket: the bracket can no longer shrink, every later step would
+/// recompute the same midpoint, and that midpoint is what the full 80
+/// steps return.  In the header so tests can reach it.
+template <typename Cdf>
+double bisect_quantile(const Cdf& cdf, double q, double lo, double hi) {
+  for (int it = 0; it < 80; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) return mid;
+    (cdf(mid) < q ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+}  // namespace detail
+
 struct LatencyEstimate {
   /// Expected response time (queueing + service) per operator, seconds.
   std::vector<double> response;

@@ -7,18 +7,16 @@ namespace ss {
 Topology annotate_with_profile(const Topology& t, const ProfileData& profile) {
   for (const auto& [name, unused] : profile.operators) {
     (void)unused;
-    require(t.find(name).has_value(),
-            "profile refers to unknown operator '" + name + "'");
+    require(t.find(name).has_value(), "profile refers to unknown operator '", name, "'");
   }
   for (const auto& [edge, unused] : profile.edge_counts) {
     (void)unused;
     auto from = t.find(edge.first);
     auto to = t.find(edge.second);
-    require(from.has_value() && to.has_value(),
-            "profile refers to unknown edge '" + edge.first + "' -> '" + edge.second + "'");
-    require(t.has_edge(*from, *to),
-            "profile reports traffic on non-existent edge '" + edge.first + "' -> '" +
-                edge.second + "'");
+    require(from.has_value() && to.has_value(), "profile refers to unknown edge '", edge.first,
+            "' -> '", edge.second, "'");
+    require(t.has_edge(*from, *to), "profile reports traffic on non-existent edge '", edge.first,
+            "' -> '", edge.second, "'");
   }
 
   Topology::Builder builder;

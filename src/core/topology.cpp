@@ -70,11 +70,11 @@ std::optional<std::vector<OpIndex>> topological_sort(std::size_t n, const std::v
 OpIndex Topology::Builder::add_operator(OperatorSpec spec) {
   require(!spec.name.empty(), "Topology: operator name must not be empty");
   require(spec.service_time > 0.0,
-          "Topology: operator '" + spec.name + "' must have service_time > 0");
+          "Topology: operator '", spec.name, "' must have service_time > 0");
   require(spec.selectivity.input > 0.0 && spec.selectivity.output > 0.0,
-          "Topology: operator '" + spec.name + "' must have positive selectivities");
+          "Topology: operator '", spec.name, "' must have positive selectivities");
   for (const OperatorSpec& existing : ops_) {
-    require(existing.name != spec.name, "Topology: duplicate operator name '" + spec.name + "'");
+    require(existing.name != spec.name, "Topology: duplicate operator name '", spec.name, "'");
   }
   ops_.push_back(std::move(spec));
   return static_cast<OpIndex>(ops_.size() - 1);
@@ -92,12 +92,12 @@ OpIndex Topology::Builder::add_operator(std::string name, double service_time, S
 
 Topology::Builder& Topology::Builder::add_edge(OpIndex from, OpIndex to, double probability) {
   require(from < ops_.size() && to < ops_.size(), "Topology: edge endpoint out of range");
-  require(from != to, "Topology: self-loop on operator '" + ops_[from].name + "'");
+  require(from != to, "Topology: self-loop on operator '", ops_[from].name, "'");
   require(probability > 0.0 && probability <= 1.0 + kProbabilityTolerance,
           "Topology: edge probability must be in (0, 1]");
   for (const Edge& e : edges_) {
-    require(!(e.from == from && e.to == to), "Topology: duplicate edge '" + ops_[from].name +
-                                                 "' -> '" + ops_[to].name + "'");
+    require(!(e.from == from && e.to == to), "Topology: duplicate edge '", ops_[from].name,
+            "' -> '", ops_[to].name, "'");
   }
   edges_.push_back(Edge{from, to, probability});
   return *this;
@@ -152,10 +152,9 @@ Topology Topology::Builder::build() const {
   OpIndex source = kInvalidOp;
   for (OpIndex i = 0; i < n; ++i) {
     if (in[i].empty()) {
-      require(source == kInvalidOp,
-              "Topology: multiple sources ('" + ops_[source == kInvalidOp ? i : source].name +
-                  "' and '" + ops_[i].name +
-                  "'); use add_fictitious_source() for multi-source graphs");
+      require(source == kInvalidOp, "Topology: multiple sources ('",
+              ops_[source == kInvalidOp ? i : source].name, "' and '", ops_[i].name,
+              "'); use add_fictitious_source() for multi-source graphs");
       source = i;
     }
   }
@@ -180,8 +179,8 @@ Topology Topology::Builder::build() const {
     }
   }
   for (OpIndex i = 0; i < n; ++i) {
-    require(reachable[i],
-            "Topology: operator '" + ops_[i].name + "' is not reachable from the source");
+    require(reachable[i], "Topology: operator '", ops_[i].name,
+            "' is not reachable from the source");
   }
 
   // Out-edge probabilities sum to one.
@@ -189,16 +188,17 @@ Topology Topology::Builder::build() const {
     if (out[i].empty()) continue;
     double sum = 0.0;
     for (const Edge& e : out[i]) sum += e.probability;
-    require(std::abs(sum - 1.0) <= kProbabilityTolerance * static_cast<double>(out[i].size() + 1),
-            "Topology: out-edge probabilities of '" + ops_[i].name + "' sum to " +
-                std::to_string(sum) + ", expected 1.0");
+    if (!(std::abs(sum - 1.0) <= kProbabilityTolerance * static_cast<double>(out[i].size() + 1))) {
+      throw Error("Topology: out-edge probabilities of '" + ops_[i].name + "' sum to " +
+                  std::to_string(sum) + ", expected 1.0");
+    }
   }
 
   // Partitioned-stateful operators need a key distribution.
   for (OpIndex i = 0; i < n; ++i) {
     if (ops_[i].state == StateKind::kPartitionedStateful) {
-      require(!ops_[i].keys.empty(), "Topology: partitioned-stateful operator '" + ops_[i].name +
-                                         "' requires a key distribution");
+      require(!ops_[i].keys.empty(), "Topology: partitioned-stateful operator '", ops_[i].name,
+              "' requires a key distribution");
     }
   }
 

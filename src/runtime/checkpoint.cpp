@@ -263,13 +263,13 @@ CheckpointManager::CheckpointManager(std::string dir, int retain)
   std::error_code ec;
   fs::create_directories(dir_, ec);
   require(!ec && fs::is_directory(dir_, ec),
-          "checkpoint: cannot create directory: " + dir_);
+          "checkpoint: cannot create directory: ", dir_);
   // Probe writability now so a bad --checkpoint-dir fails at startup, the
   // same contract as the --trace/--metrics-out path checks.
   const std::string probe_path = (fs::path(dir_) / ".probe").string();
   {
     std::ofstream probe(probe_path, std::ios::binary | std::ios::trunc);
-    require(probe.good(), "checkpoint: directory not writable: " + dir_);
+    require(probe.good(), "checkpoint: directory not writable: ", dir_);
   }
   fs::remove(probe_path, ec);
   // Continue the sequence from whatever is already on disk.

@@ -286,7 +286,6 @@ Engine::Engine(const Topology& t, Deployment deployment, AppFactory factory,
   }
 
   epoch_ = build_epoch(prepare_epoch(std::move(deployment)), nullptr, nullptr);
-  predicted_ = make_predictions(topology_, epoch_->deployment, config_.mailbox_capacity);
   if (config_.recover_from != nullptr) apply_recovery(*config_.recover_from);
 }
 
@@ -351,10 +350,11 @@ std::unique_ptr<Engine::EpochState> Engine::prepare_epoch(Deployment deployment)
     } else {
       partition = partition_keys(spec.keys, replicas);
     }
-    require(partition.replicas == replicas,
-            "Engine: partition map of '" + spec.name + "' disagrees with replica count");
+    require(partition.replicas == replicas, "Engine: partition map of '", spec.name,
+            "' disagrees with replica count");
     if (config_.assign_keys_at_emitter) (void)spec.keys.cumulative();
   }
+  epoch->predicted = make_predictions(topology_, deployment, config_.mailbox_capacity);
   epoch->deployment = std::move(deployment);
   return epoch;
 }
@@ -562,9 +562,8 @@ bool Engine::route_result(OpIndex op, OpIndex target, const Tuple& tuple, Rng& r
       return true;
     }
   } else {
-    require(routers_[op].is_destination(target),
-            "emit_to: '" + topology_.op(target).name + "' is not a downstream neighbor of '" +
-                topology_.op(op).name + "'");
+    require(routers_[op].is_destination(target), "emit_to: '", topology_.op(target).name,
+            "' is not a downstream neighbor of '", topology_.op(op).name, "'");
   }
   const Message m = Message::data(tuple, op, target);
   const int entry = epoch_->graph.entry[target];
@@ -1067,7 +1066,6 @@ bool Engine::reconfigure(const Deployment& next) {
     }
     sched_counters_prior_ += epoch_->scheduler->counters();
     epoch_ = std::move(fresh);
-    predicted_ = make_predictions(topology_, epoch_->deployment, config_.mailbox_capacity);
     const int e = epoch_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
     trace::instant("epoch", "fence", "epoch", e);
   }
@@ -1257,18 +1255,16 @@ void Engine::apply_recovery(const Checkpoint& cp) {
         st.selector.set_cursor(e.rr_cursor);
       }
       if (e.has_state && st.logic != nullptr) {
-        require(st.logic->restore_state(e.state),
-                "recovery: operator '" + topology_.op(spec.op).name +
-                    "' rejected its checkpointed state");
+        require(st.logic->restore_state(e.state), "recovery: operator '",
+                topology_.op(spec.op).name, "' rejected its checkpointed state");
       }
     }
     for (std::size_t p = 0; p < st.member_logic.size(); ++p) {
       const auto mit = entries.find(std::make_tuple(
           spec.members[p], static_cast<int>(CheckpointRole::kMember), 0));
       if (mit != entries.end() && mit->second->has_state) {
-        require(st.member_logic[p]->restore_state(mit->second->state),
-                "recovery: fused member '" + topology_.op(spec.members[p]).name +
-                    "' rejected its checkpointed state");
+        require(st.member_logic[p]->restore_state(mit->second->state), "recovery: fused member '",
+                topology_.op(spec.members[p]).name, "' rejected its checkpointed state");
       }
     }
     if (spec.kind == ActorKind::kSource) {
@@ -1311,7 +1307,7 @@ CounterSnapshot Engine::sample() const { return board_.snapshot(run_seconds()); 
 
 PredictedLatency Engine::predicted_latency() const {
   std::lock_guard lock(epoch_mutex_);
-  return predicted_;
+  return epoch_->predicted;
 }
 
 void Engine::fill_queue_stats(CounterSnapshot& snap) const {
@@ -1374,8 +1370,8 @@ MetricsSample Engine::metrics_sample() const {
     for (const auto& st : epoch_->actors) {
       if (st != nullptr) s.dropped += st->mailbox.dropped();
     }
+    s.predicted = epoch_->predicted;
   }
-  s.predicted = predicted_;
   if (profiler_) {
     s.profile = profiler_->snapshot();
     s.bottlenecks = profiler_->bottlenecks();
@@ -1504,7 +1500,7 @@ RunStats Engine::finalize_run() {
   for (const auto& actor : epoch_->actors) dropped += actor->mailbox.dropped();
   {
     std::lock_guard lock(failure_mutex_);
-    require(first_failure_.empty(), "engine run failed: " + first_failure_);
+    require(first_failure_.empty(), "engine run failed: ", first_failure_);
   }
   RunStats stats;
   stats.dropped = dropped;

@@ -220,7 +220,8 @@ class Engine final : public EngineCore {
   /// (end_to_end_snapshot / end_to_end_since for windowed p99).
   [[nodiscard]] const StatsBoard& stats_board() const { return board_; }
   /// Model predictions (Alg. 1 + estimate_latency) for the deployment of
-  /// the current epoch; recomputed at every switch-over.
+  /// the current epoch; each epoch computes its own before the fence and
+  /// they swap in with it.
   [[nodiscard]] PredictedLatency predicted_latency() const;
   /// Everything the metrics exporter writes per line, cumulative.
   [[nodiscard]] MetricsSample metrics_sample() const;
@@ -262,6 +263,8 @@ class Engine final : public EngineCore {
     /// and migrates by (indexed by operator, empty for the others): the
     /// deployment's own, or partition_keys' when it leaves one to derive.
     std::vector<KeyPartition> partitions;
+    /// Model predictions for `deployment` (see predicted_latency()).
+    PredictedLatency predicted;
     ActorGraph graph;
     std::vector<std::unique_ptr<ActorState>> actors;
     std::unique_ptr<Scheduler> scheduler;
@@ -278,9 +281,10 @@ class Engine final : public EngineCore {
   void actor_done(std::size_t id) override;
 
   /// The actor-less epoch of `deployment`: its actor graph (validating
-  /// it: a malformed deployment throws) and its key maps, with the key
-  /// tables the emitters read built.  Runs before a fence is armed, so no
-  /// partitioning and no first table build lands in the pause.
+  /// it: a malformed deployment throws), its key maps, with the key tables
+  /// the emitters read built, and its model predictions.  Runs before a
+  /// fence is armed, so no partitioning, no first table build and no model
+  /// evaluation lands in the pause.
   std::unique_ptr<EpochState> prepare_epoch(Deployment deployment) const;
   /// Instantiates the actors of a prepared epoch.  `prev` (when non-null)
   /// is the quiesced previous epoch: actors of operators unchanged per
@@ -381,9 +385,6 @@ class Engine final : public EngineCore {
   std::vector<EdgeRouter> routers_;  // per logical operator (epoch-invariant)
   Rng master_rng_;                   ///< split per actor at epoch build
   std::unique_ptr<EpochState> epoch_;
-  /// Predictions for epoch_'s deployment (epoch_mutex_; see
-  /// predicted_latency()).
-  PredictedLatency predicted_;
   std::unique_ptr<ReconfigController> controller_;
   // --- epoch checkpointing (EngineConfig::checkpoint_dir)
   std::unique_ptr<CheckpointManager> checkpoint_mgr_;

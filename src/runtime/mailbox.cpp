@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "runtime/clock.hpp"
@@ -76,7 +77,7 @@ bool Mailbox::ring_enqueue(const Message& m) {
     if (dif == 0) {
       if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
                                              std::memory_order_relaxed)) {
-        cell.msg = m;
+        std::construct_at(&cell.msg, m);
         cell.seq.store(pos + 1, std::memory_order_release);
         ring_enqueues_.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -102,7 +103,7 @@ bool Mailbox::ring_enqueue_many(const Message* msgs, std::size_t k) {
                                            std::memory_order_relaxed)) {
       for (std::size_t i = 0; i < k; ++i) {
         Cell& cell = cells_[(pos + i) & ring_mask_];
-        cell.msg = msgs[i];
+        std::construct_at(&cell.msg, msgs[i]);
         cell.seq.store(pos + i + 1, std::memory_order_release);
       }
       ring_enqueues_.fetch_add(k, std::memory_order_relaxed);

@@ -46,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/message.hpp"
@@ -200,11 +201,19 @@ class Mailbox {
   /// One ring slot: the per-cell sequence number is the publication
   /// protocol (seq == pos: free for the producer claiming pos; seq ==
   /// pos + 1: published, readable by the consumer).  Cache-line aligned so
-  /// neighbouring publishes don't false-share.
+  /// neighbouring publishes don't false-share.  The payload sits in a union
+  /// and is not constructed with the cell: a producer constructs `msg` in
+  /// place before it publishes the cell's seq, and the consumer reads it
+  /// only after, so building a ring writes the sequence numbers alone.
   struct alignas(64) Cell {
+    Cell() noexcept {}
     std::atomic<std::size_t> seq{0};
-    Message msg{};
+    union {
+      Message msg;
+    };
   };
+  static_assert(std::is_trivially_copyable_v<Message>,
+                "a ring cell constructs each payload over the last one, never destroying it");
 
   // --- shared helpers -----------------------------------------------------
   void release_slots(std::size_t n);

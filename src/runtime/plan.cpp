@@ -31,12 +31,12 @@ ActorGraph ActorGraph::build(const Topology& t, const Deployment& deployment) {
     // multi-entry legality is the right runtime-side check; the stricter
     // single-front-end rule only gates the §3.3 cost model.
     const std::string why = check_fusion_legal_multi(t, spec);
-    require(why.empty(), "ActorGraph: illegal fusion group: " + why);
+    require(why.empty(), "ActorGraph: illegal fusion group: ", why);
     for (OpIndex m : spec.members) {
-      require(g.group_of[m] == -1, "ActorGraph: operator '" + t.op(m).name +
-                                       "' belongs to two fusion groups");
-      require(deployment.replication.replicas_of(m) == 1,
-              "ActorGraph: fused operator '" + t.op(m).name + "' cannot be replicated");
+      require(g.group_of[m] == -1, "ActorGraph: operator '", t.op(m).name,
+              "' belongs to two fusion groups");
+      require(deployment.replication.replicas_of(m) == 1, "ActorGraph: fused operator '",
+              t.op(m).name, "' cannot be replicated");
       g.group_of[m] = static_cast<int>(f);
     }
   }

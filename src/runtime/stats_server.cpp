@@ -18,8 +18,9 @@ namespace ss::runtime {
 StatsServer::StatsServer(int port, std::function<MetricsSample()> sampler,
                          std::vector<std::string> op_names)
     : port_(port), sampler_(std::move(sampler)), op_names_(std::move(op_names)) {
-  require(port > 0 && port <= 65535,
-          "--stats-port out of range (1-65535): " + std::to_string(port));
+  if (port <= 0 || port > 65535) {
+    throw Error("--stats-port out of range (1-65535): " + std::to_string(port));
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   require(listen_fd_ >= 0, "stats server: socket() failed");
   const int one = 1;
@@ -32,13 +33,13 @@ StatsServer::StatsServer(int port, std::function<MetricsSample()> sampler,
     const int err = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
-    require(false, "stats server: cannot bind 127.0.0.1:" + std::to_string(port) +
-                       " (" + std::strerror(err) + ")");
+    throw Error("stats server: cannot bind 127.0.0.1:" + std::to_string(port) + " (" +
+                std::strerror(err) + ")");
   }
   if (::listen(listen_fd_, 8) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    require(false, "stats server: listen() failed on port " + std::to_string(port));
+    throw Error("stats server: listen() failed on port " + std::to_string(port));
   }
 }
 

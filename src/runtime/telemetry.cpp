@@ -336,7 +336,7 @@ MetricsExporter::MetricsExporter(std::function<MetricsSample()> sampler,
       period_(period_seconds > 0.0 ? period_seconds : 0.5),
       impl_(std::make_unique<Impl>()) {
   impl_->out.open(path, std::ios::trunc);
-  require(impl_->out.good(), "cannot write metrics file: " + path);
+  require(impl_->out.good(), "cannot write metrics file: ", path);
 }
 
 MetricsExporter::~MetricsExporter() { stop(); }

@@ -206,7 +206,7 @@ std::size_t Tracer::stop_and_flush(const std::string& path) {
   });
 
   std::ofstream out(path, std::ios::trunc);
-  require(out.good(), "cannot write trace file: " + path);
+  require(out.good(), "cannot write trace file: ", path);
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto sep = [&] {
@@ -245,7 +245,7 @@ std::size_t Tracer::stop_and_flush(const std::string& path) {
   }
   out << "\n]}\n";
   out.flush();
-  require(out.good(), "failed writing trace file: " + path);
+  require(out.good(), "failed writing trace file: ", path);
   return events.size();
 }
 

@@ -105,7 +105,7 @@ KeyDistribution parse_keys(const XmlNode& keys, const std::string& op_name, LawT
 Topology load_topology(const std::string& xml_text) {
   const XmlNode root = parse_xml(xml_text);
   require(root.name == "topology",
-          "topology xml: root element must be <topology>, got <" + root.name + ">");
+          "topology xml: root element must be <topology>, got <", root.name, ">");
 
   Topology::Builder builder;
   std::map<std::string, OpIndex> index_of;
@@ -129,8 +129,8 @@ Topology load_topology(const std::string& xml_text) {
   for (const XmlNode* edge : root.children_named("edge")) {
     const std::string from = edge->require_attr("from");
     const std::string to = edge->require_attr("to");
-    require(index_of.count(from) > 0, "topology xml: edge from unknown operator '" + from + "'");
-    require(index_of.count(to) > 0, "topology xml: edge to unknown operator '" + to + "'");
+    require(index_of.count(from) > 0, "topology xml: edge from unknown operator '", from, "'");
+    require(index_of.count(to) > 0, "topology xml: edge to unknown operator '", to, "'");
     builder.add_edge(index_of[from], index_of[to], edge->attr_double("probability", 1.0));
   }
   return builder.build();
@@ -138,7 +138,7 @@ Topology load_topology(const std::string& xml_text) {
 
 Topology load_topology_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "topology xml: cannot open '" + path + "'");
+  require(in.good(), "topology xml: cannot open '", path, "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return load_topology(buffer.str());
@@ -200,7 +200,7 @@ std::string save_topology(const Topology& t, const std::string& app_name) {
 void save_topology_file(const Topology& t, const std::string& path,
                         const std::string& app_name) {
   std::ofstream out(path);
-  require(out.good(), "topology xml: cannot write '" + path + "'");
+  require(out.good(), "topology xml: cannot write '", path, "'");
   out << save_topology(t, app_name);
 }
 

@@ -111,7 +111,11 @@ TEST(KeyPartitioning, SortedKeysSkipTheSortWithIdenticalOutput) {
   std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
   const std::vector<std::pair<const char*, KeyDistribution>> cases = {
       {"zipf law", KeyDistribution::zipf(1000, 0.9)},
+      {"100k-key zipf law", KeyDistribution::zipf(100000, 0.8)},
+      {"steep zipf law", KeyDistribution::zipf(5000, 2.5)},
+      {"near-flat zipf law", KeyDistribution::zipf(5000, 1e-9)},
       {"uniform law", KeyDistribution::uniform(97)},
+      {"100k-key uniform law", KeyDistribution::uniform(100000)},
       {"sorted list", KeyDistribution(zipf)},
       {"reversed", KeyDistribution(reversed)},
       {"shuffled", KeyDistribution(shuffled)},

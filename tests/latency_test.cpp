@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "core/topology.hpp"
 
@@ -157,6 +163,107 @@ TEST(Latency, SourceContributesGenerationTimeOnly) {
   Topology t = b.build();
   LatencyEstimate est = estimate_latency(t, steady_state(t));
   EXPECT_NEAR(est.response[0], 3.0 * kMs, 1e-12);
+}
+
+// ------------------------------------------------------ quantile bisection
+
+/// The mixture-percentile bisection as it was before it stopped early: a
+/// fixed 80 halvings of the bracket.
+template <typename Cdf>
+double bisect_fixed_80(const Cdf& cdf, double q, double lo, double hi) {
+  for (int it = 0; it < 80; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (cdf(mid) < q ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+/// Wilson-Hilferty CDF of the gamma with this mean and variance: the law of
+/// one component of the latency model's mixtures.
+double wilson_hilferty_cdf(double x, double mean, double var) {
+  if (x <= 0.0) return 0.0;
+  const double shape = mean * mean / var;
+  const double u = std::cbrt(x / mean);
+  const double z = (u - (1.0 - 1.0 / (9.0 * shape))) * 3.0 * std::sqrt(shape);
+  return 0.5 * std::erfc(-z / std::sqrt(2.0));
+}
+
+TEST(QuantileBisection, StopsEarlyAndReturnsTheFixedLoopsDouble) {
+  std::mt19937_64 rng(2018);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const double qs[] = {0.5, 0.95, 0.99};
+  std::uint64_t fixed_evals = 0;
+  std::uint64_t early_evals = 0;
+
+  // Gamma mixtures of 1-8 components, bracketed the way the model brackets
+  // them: the largest component quantile, doubled until the CDF passes q.
+  // (The model returns 0 without a search when that quantile is 0.)
+  int searched = 0;
+  for (int trial = 0; searched < 1200; ++trial) {
+    struct Component {
+      double w, mean, var;
+    };
+    std::vector<Component> mix(1 + trial % 8);
+    for (Component& c : mix) {
+      c.w = 0.05 + unit(rng);
+      c.mean = std::pow(10.0, -6.0 + 5.0 * unit(rng));
+      c.var = c.mean * c.mean * std::pow(10.0, -2.0 + 3.0 * unit(rng));
+    }
+    const auto cdf = [&mix](double x) {
+      double f = 0.0;
+      double wt = 0.0;
+      for (const Component& c : mix) {
+        f += c.w * wilson_hilferty_cdf(x, c.mean, c.var);
+        wt += c.w;
+      }
+      return f / wt;
+    };
+    const double q = trial % 4 == 3 ? unit(rng) : qs[trial % 4];
+    double hi = 0.0;
+    for (const Component& c : mix) hi = std::max(hi, latency_quantile(c.mean, c.var, q));
+    if (hi <= 0.0) continue;
+    ++searched;
+    for (int guard = 0; cdf(hi) < q && guard < 64; ++guard) hi *= 2.0;
+    const auto counted = [&cdf](std::uint64_t& evals) {
+      return [&cdf, &evals](double x) {
+        ++evals;
+        return cdf(x);
+      };
+    };
+    const double want = bisect_fixed_80(counted(fixed_evals), q, 0.0, hi);
+    const double got = detail::bisect_quantile(counted(early_evals), q, 0.0, hi);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << "mixture trial " << trial << ": " << got << " vs " << want;
+  }
+  // A double has 53 bits of mantissa, so a bracket starting at 0 converges
+  // well inside 80 halvings: the early stop must skip a real share of them.
+  EXPECT_LT(early_evals * 10, fixed_evals * 9) << early_evals << " of " << fixed_evals;
+
+  // Step CDFs in brackets only a few ulps (or subnormal steps) wide: the
+  // bracket converges within 10 halvings, so both loops run mostly on a
+  // bracket that can no longer shrink.
+  for (int trial = 0; trial < 1200; ++trial) {
+    const int ulps = 1 + static_cast<int>(unit(rng) * 255);  // <= 2^8
+    const double lo = trial % 3 == 0 ? 0.0 : std::pow(10.0, -9.0 + 12.0 * unit(rng));
+    double hi = lo;
+    for (int i = 0; i < ulps; ++i) hi = std::nextafter(hi, 1e300);
+    double step = lo;
+    const int at = static_cast<int>(unit(rng) * (ulps + 1));
+    for (int i = 0; i < at; ++i) step = std::nextafter(step, 1e300);
+    const auto cdf = [step](double x) { return x >= step ? 1.0 : 0.0; };
+    const double q = trial % 2 == 0 ? 0.5 : 1.0;
+    std::uint64_t evals = 0;
+    const double want = bisect_fixed_80(cdf, q, lo, hi);
+    const double got = detail::bisect_quantile(
+        [&](double x) {
+          ++evals;
+          return cdf(x);
+        },
+        q, lo, hi);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << "step trial " << trial << ": bracket [" << lo << ", " << hi << "] step " << step;
+    EXPECT_LE(evals, 10u) << "step trial " << trial;
+  }
 }
 
 }  // namespace

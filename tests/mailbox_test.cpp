@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -673,6 +674,62 @@ TEST(MailboxRingStress, SpillDrainReopensTheFastPath) {
   EXPECT_EQ(box.ring_spills(), spilled);
   ASSERT_TRUE(box.receive(out));
   EXPECT_EQ(out.tuple.id, 99);
+}
+
+TEST(MailboxRingStress, PayloadsWrittenBeforePublishReadBackAcrossLaps) {
+  // The ring's cells hold unconstructed payloads until a producer first
+  // publishes into them.  Forty rounds of data batches, single sends and
+  // capacity-exempt control tokens lap the 16-cell ring about fifteen
+  // times, the first lap on cells nothing has written yet; every message
+  // must come back whole and in FIFO order, without a spill.
+  Mailbox box(8, OverflowPolicy::kBlockAfterService, MailboxKind::kRing);
+  std::int64_t next = 0;
+  std::uint64_t published = 0;
+  std::vector<Message> want;
+  std::vector<Message> got;
+  for (int round = 0; round < 40; ++round) {
+    want.clear();
+    const std::size_t batch = 1 + static_cast<std::size_t>(round % 7);
+    for (std::size_t i = 0; i < batch; ++i) {
+      Tuple t;
+      t.id = next;
+      t.key = -next;
+      t.ts = 0.5 * static_cast<double>(next);
+      t.f = {1.0 * next, 2.0 * next, 3.0 * next, 4.0 * next};
+      Message m = Message::data(t, static_cast<OpIndex>(round), static_cast<OpIndex>(i));
+      m.seq = next++;
+      want.push_back(m);
+    }
+    ASSERT_EQ(box.try_send_batch(want.data(), batch), batch);
+    Message single = data_msg(next++);
+    ASSERT_TRUE(box.try_send(single));
+    want.push_back(single);
+    for (int tok = 0; tok <= round % 3; ++tok) {
+      const Message token = tok == 0   ? Message::fence()
+                            : tok == 1 ? Message::seq_mark(next++)
+                                       : Message::shutdown();
+      box.send_unbounded(token);
+      want.push_back(token);
+    }
+    published += want.size();
+    got.clear();
+    ASSERT_EQ(box.drain(got, 64), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", message " + std::to_string(i));
+      EXPECT_EQ(got[i].kind, want[i].kind);
+      EXPECT_EQ(got[i].tuple.id, want[i].tuple.id);
+      EXPECT_EQ(got[i].tuple.key, want[i].tuple.key);
+      EXPECT_EQ(got[i].tuple.ts, want[i].tuple.ts);
+      EXPECT_EQ(got[i].tuple.f, want[i].tuple.f);
+      EXPECT_EQ(got[i].from, want[i].from);
+      EXPECT_EQ(got[i].target, want[i].target);
+      EXPECT_EQ(got[i].seq, want[i].seq);
+    }
+  }
+  EXPECT_GE(published, 15u * 16u);
+  EXPECT_EQ(box.ring_enqueues(), published);
+  EXPECT_EQ(box.ring_spills(), 0u);
+  EXPECT_EQ(box.size(), 0u);
 }
 
 }  // namespace

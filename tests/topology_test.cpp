@@ -181,6 +181,62 @@ TEST(TopologyBuilder, PartitionedStatefulRequiresKeys) {
   EXPECT_THROW((void)b.build(), Error);
 }
 
+/// The message `f` throws as ss::Error, or "" when it does not throw.
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The builder joins a message's parts only when its check fails; the texts
+// users see stay exactly as they were when each was concatenated eagerly.
+TEST(TopologyBuilder, ErrorMessagesKeepTheirText) {
+  Topology::Builder b;
+  b.add_operator("x", 1e-3);
+  b.add_operator("y", 1e-3);
+  b.add_edge(0, 1, 1.0);
+  EXPECT_EQ(error_of([&] { b.add_operator("x", 1e-3); }),
+            "Topology: duplicate operator name 'x'");
+  EXPECT_EQ(error_of([&] { b.add_operator("z", 0.0); }),
+            "Topology: operator 'z' must have service_time > 0");
+  EXPECT_EQ(error_of([&] { b.add_edge(1, 1); }), "Topology: self-loop on operator 'y'");
+  EXPECT_EQ(error_of([&] { b.add_edge(0, 1, 0.5); }), "Topology: duplicate edge 'x' -> 'y'");
+
+  // Two roots: the graph of RejectsUnreachableOperator.  A single-source
+  // DAG reaches every operator, so the source check is the one that names
+  // an unreachable island.
+  Topology::Builder island;
+  island.add_operator("src", 1e-3);
+  island.add_operator("a", 1e-3);
+  island.add_operator("island_in", 1e-3);
+  island.add_operator("island_out", 1e-3);
+  island.add_edge(0, 1, 1.0);
+  island.add_edge(2, 3, 1.0);
+  EXPECT_EQ(error_of([&] { (void)island.build(); }),
+            "Topology: multiple sources ('src' and 'island_in'); use add_fictitious_source() "
+            "for multi-source graphs");
+
+  Topology::Builder fan;
+  fan.add_operator("src", 1e-3);
+  fan.add_operator("a", 1e-3);
+  fan.add_operator("b", 1e-3);
+  fan.add_edge(0, 1, 0.5);
+  fan.add_edge(0, 2, 0.3);
+  EXPECT_EQ(error_of([&] { (void)fan.build(); }),
+            "Topology: out-edge probabilities of 'src' sum to 0.800000, expected 1.0");
+
+  Topology::Builder keyed;
+  keyed.add_operator("src", 1e-3);
+  keyed.add_operator("agg", 1e-3, StateKind::kPartitionedStateful);
+  keyed.add_edge(0, 1, 1.0);
+  EXPECT_EQ(error_of([&] { (void)keyed.build(); }),
+            "Topology: partitioned-stateful operator 'agg' requires a key distribution");
+}
+
 TEST(TopologyBuilder, PartitionedStatefulWithKeysBuilds) {
   Topology::Builder b;
   b.add_operator("src", 1e-3);

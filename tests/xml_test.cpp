@@ -236,6 +236,23 @@ std::string load_error(const std::string& doc) {
   return "";
 }
 
+TEST(TopologyXml, ErrorMessagesKeepTheirText) {
+  EXPECT_EQ(load_error("<nope/>"), "topology xml: root element must be <topology>, got <nope>");
+  EXPECT_EQ(load_error(R"(<topology><operator name="a" service-time="1"/>
+<edge from="a" to="ghost"/></topology>)"),
+            "topology xml: edge to unknown operator 'ghost'");
+  EXPECT_EQ(load_error(R"(<topology><operator name="a" service-time="1"/>
+<edge from="ghost" to="a"/></topology>)"),
+            "topology xml: edge from unknown operator 'ghost'");
+  EXPECT_EQ(load_error(R"(<topology><operator name="a" service-time="1"/>
+<operator name="a" service-time="2"/></topology>)"),
+            "Topology: duplicate operator name 'a'");
+  EXPECT_EQ(load_error(R"(<topology><operator name="a" service-time="1"/>
+<operator name="b" service-time="1"/>
+<edge from="a" to="b"/><edge from="a" to="b"/></topology>)"),
+            "Topology: duplicate edge 'a' -> 'b'");
+}
+
 TEST(TopologyXml, KeyListsAcceptDecimalSyntax) {
   const Topology t = load_topology(with_keys("<keys values=\" \n+0.5\t.3\r\n2e-1 1E0 0 5. \"/>"));
   ASSERT_EQ(t.op(1).keys.num_keys(), 6u);
